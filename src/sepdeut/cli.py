@@ -148,13 +148,20 @@ def cmd_observables(args) -> int:
 
 
 def _float_grid(stop: float, step: float):
-    n = int(round(stop / step))
+    """Points i*step from 0 up to stop; the 1e-12 slack keeps a last point
+    that lands on stop up to rounding, and no point passes it."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be finite and > 0, got {step!r}")
+    if not (math.isfinite(stop) and stop >= 0):
+        raise ValueError(f"grid end must be finite and >= 0, got {stop!r}")
+    n = math.floor(stop / step * (1.0 + 1e-12))
     return [i * step for i in range(n + 1)]
 
 
 def cmd_wavefunctions(args) -> int:
     cfg = _resolve_config(args)
     p = cfg.params
+    grid = _float_grid(args.r_max, args.dr)
     overlay_rows = None
     overlay_fields = []
     if args.overlay:
@@ -172,7 +179,7 @@ def cmd_wavefunctions(args) -> int:
         header = ["r_fm", "u", "w", "region"]
         header += [f"ref_{name}" for name in overlay_fields]
         writer.writerow(header)
-        for r in _float_grid(args.r_max, args.dr):
+        for r in grid:
             row = [repr(r), repr(u_coordinate(r, p)), repr(w_coordinate(r, p)), region_of(r, p).value]
             if overlay_rows is not None:
                 near = int(np.argmin(np.abs(overlay_r - r)))
@@ -184,10 +191,11 @@ def cmd_wavefunctions(args) -> int:
 def cmd_momentum(args) -> int:
     cfg = _resolve_config(args)
     p = cfg.params
+    grid = _float_grid(args.k_max, args.dk)
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k_inv_fm", "g_C", "g_T", "u_k", "w_k"])
-        for k in _float_grid(args.k_max, args.dk):
+        for k in grid:
             writer.writerow(
                 [
                     repr(k),

@@ -1,10 +1,17 @@
-"""Gauss-Legendre panel integration, semi-infinite integrals, differentiation.
+"""Gauss-Legendre panel integration and differentiation.
 
 The integrands in this package are piecewise-analytic products of
 exponentials, low-degree polynomials and slow oscillations, so fixed-order
 Gauss-Legendre panels between known breakpoints beat any adaptive scheme;
 the only care needed is placing breakpoints at the region boundaries and
 at the zeros of the oscillatory factors.
+
+An integral evaluates its integrand once: the nodes of all panels are
+built as one array, passed to the integrand in a single call, checked for
+non-finite values, and reduced panel by panel with a matrix-vector product
+against the weights.  The integrands are vectorized special functions, so
+the cost of an integral is arithmetic on its nodes rather than Python call
+overhead per panel.
 """
 
 from __future__ import annotations
@@ -23,28 +30,9 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TruncateTail:
-    """Ignore the integral beyond the last breakpoint.
-
-    `bound` documents the analytic estimate of what is being dropped.
-    """
-
-    limit: float
-    bound: float = 1e-12
-
-
-@dataclass(frozen=True)
-class MapRationalTail:
-    """Integrate the tail exactly via x = last + scale*t/(1-t), t in [0,1)."""
-
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
 class QuadratureScheme:
     panel_order: int
     breakpoints: tuple
-    tail: object = None
 
     def __post_init__(self):
         n = int(self.panel_order)
@@ -73,57 +61,35 @@ def gauss_legendre_rule(n: int):
     return nodes, weights
 
 
-def _panel_sum(f, a: float, b: float, nodes, weights) -> float:
-    half = 0.5 * (b - a)
-    x = a + half * (nodes + 1.0)
+def _panel_sums(f, left, half, order: int):
+    """Gauss-Legendre sums of f over the panels [left, left + 2*half].
+
+    `half` is one half-width per panel, as a column (n, 1), or one for
+    all panels.  Every node of every panel goes to `f` in one array, so
+    `f` is called exactly once.  Returns the unscaled sum over each
+    panel's nodes; the caller multiplies by the half-widths.
+    """
+    nodes, weights = gauss_legendre_rule(order)
+    x = (left[:, None] + half * (nodes + 1.0)).ravel()
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals)][0]
-        raise QuadratureError(f"integrand is non-finite at x = {bad!r}")
-    return half * float(weights @ vals)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise QuadratureError(f"integrand is non-finite at x = {x[~finite][0]!r}")
+    return vals.reshape(-1, order) @ weights
 
 
 def integrate_panels(f, scheme: QuadratureScheme) -> float:
     """Sum Gauss-Legendre panel integrals over consecutive breakpoints.
 
-    `f` must accept a numpy array of abscissae and return matching values.
-    A MapRationalTail appends the integral over (last breakpoint, inf).
+    `f` must accept a numpy array of abscissae and return matching values;
+    it is called once, on the nodes of all panels together.
     """
-    nodes, weights = gauss_legendre_rule(scheme.panel_order)
-    pieces = [
-        _panel_sum(f, a, b, nodes, weights)
-        for a, b in zip(scheme.breakpoints, scheme.breakpoints[1:])
-    ]
-    if isinstance(scheme.tail, MapRationalTail):
-        last = scheme.breakpoints[-1]
-        s = scheme.tail.scale
-
-        def mapped(t):
-            return f(last + s * t / (1.0 - t)) * s / (1.0 - t) ** 2
-
-        pieces.append(_panel_sum(mapped, 0.0, 1.0, nodes, weights))
-    return math.fsum(pieces)
-
-
-def integrate_semi_infinite(f, start: float, decay_alpha: float, *, panel_order: int = 40) -> float:
-    """Integrate f over [start, inf) for integrands decaying like exp(-decay_alpha*r).
-
-    Truncates at start + 40/decay_alpha with panels one decay length wide;
-    for |f| <= C*exp(-decay_alpha*r)*poly(r) the dropped tail is below
-    1e-12 relative to the total.
-    """
-    if not decay_alpha > 0:
-        raise ValueError(f"decay_alpha must be > 0, got {decay_alpha!r}")
-    width = 1.0 / decay_alpha
-    breakpoints = tuple(start + i * width for i in range(41))
-    scheme = QuadratureScheme(
-        panel_order=panel_order,
-        breakpoints=breakpoints,
-        tail=TruncateTail(limit=breakpoints[-1]),
-    )
-    return integrate_panels(f, scheme)
+    edges = np.array(scheme.breakpoints)
+    half = 0.5 * np.diff(edges)
+    sums = _panel_sums(f, edges[:-1], half[:, None], scheme.panel_order)
+    return math.fsum((half * sums).tolist())
 
 
 def differentiate(f, x: float, h0: float = 1e-3) -> float:
@@ -156,11 +122,7 @@ def radial_scheme(params: ModelParams, *, panel_order: int = 40) -> QuadratureSc
     pts.append(params.range_sum)
     width = 1.0 / params.alpha
     pts.extend(params.range_sum + i * width for i in range(1, 41))
-    return QuadratureScheme(
-        panel_order=panel_order,
-        breakpoints=tuple(pts),
-        tail=TruncateTail(limit=pts[-1]),
-    )
+    return QuadratureScheme(panel_order=panel_order, breakpoints=tuple(pts))
 
 
 def momentum_scheme(params: ModelParams, *, k_max: float = 80.0, panel_order: int = 40) -> QuadratureScheme:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, Region, region_of
-from .quadrature import QuadratureError, gauss_legendre_rule
+from .quadrature import _panel_sums
 from .specfun import sph_bessel_j
 from .wf_coordinate import u_coordinate, w_coordinate
 from .wf_momentum import u_momentum, w_momentum
@@ -91,19 +91,14 @@ def bessel_transform(
     if not spacing > 0:
         raise ValueError("zero_spacing must be > 0")
 
-    nodes, weights = gauss_legendre_rule(panel_order)
+    def integrand(k):
+        return k * k * np.asarray(f_of_k(k), dtype=float) * sph_bessel_j(l, k * r)
 
     def integral(cutoff: float) -> float:
         n_panels = max(1, math.ceil(cutoff / spacing))
-        edges = np.linspace(0.0, n_panels * spacing, n_panels + 1)
+        left = np.linspace(0.0, n_panels * spacing, n_panels + 1)[:-1]
         half = 0.5 * spacing
-        k = (edges[:-1, None] + half * (nodes[None, :] + 1.0)).ravel()
-        values = k * k * np.asarray(f_of_k(k), dtype=float) * sph_bessel_j(l, k * r)
-        if not np.all(np.isfinite(values)):
-            bad = k[~np.isfinite(values)][0]
-            raise QuadratureError(f"integrand is non-finite at k = {bad!r}")
-        per_panel = values.reshape(n_panels, panel_order) @ weights
-        return half * math.fsum(per_panel.tolist())
+        return half * math.fsum(_panel_sums(integrand, left, half, panel_order).tolist())
 
     coarse = integral(k_max)
     fine = integral(2.0 * k_max)

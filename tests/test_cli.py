@@ -82,6 +82,29 @@ def test_momentum_csv(capsys):
     assert float(k1["g_T"]) == pytest.approx(0.15420012727958567, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunctions", "--dr", "0"],
+        ["momentum", "--dk", "0"],
+        ["wavefunctions", "--dr", "-0.1"],
+        ["wavefunctions", "--dr", "nan"],
+        ["momentum", "--k-max", "-1.0"],
+    ],
+)
+def test_bad_grid_exits_2_and_writes_nothing(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "grid" in err
+
+
+def test_grid_stops_at_its_end(capsys):
+    code, out, _ = run(["wavefunctions", "--r-max", "1.0", "--dr", "0.6"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.0", "0.6"]
+
+
 def test_fit_command(capsys):
     code, out, _ = run(["fit"], capsys)
     assert code == 0

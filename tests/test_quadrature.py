@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from sepdeut.model import ModelParams
+from sepdeut.observables import solve_normalisation
 from sepdeut.quadrature import (
-    MapRationalTail,
     QuadratureError,
     QuadratureScheme,
     differentiate,
     gauss_legendre_rule,
     integrate_panels,
-    integrate_semi_infinite,
     momentum_scheme,
     radial_scheme,
 )
+from sepdeut.wf_coordinate import u_coordinate, w_coordinate
+from sepdeut.wf_momentum import u_momentum, w_momentum
 
 
 def test_rule_low_orders():
@@ -54,28 +55,42 @@ def test_integrate_panels_requires_valid_scheme():
         QuadratureScheme(panel_order=4, breakpoints=(0.0, 2.0, 1.0))
 
 
-def test_semi_infinite_exponential():
-    assert integrate_semi_infinite(lambda r: np.exp(-r), 0.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-    # Gamma(4)/2^4 = 3/8
-    got = integrate_semi_infinite(lambda r: r**3 * np.exp(-2.0 * r), 0.0, 2.0)
-    assert got == pytest.approx(0.375, rel=1e-12)
+def test_integrand_is_called_once_on_every_node():
+    p = ModelParams(b1=1.0, b2=2.0, alpha=0.25, A=1.0, B=1.0)
+    for scheme in (radial_scheme(p), momentum_scheme(p), QuadratureScheme(3, (0.0, 1.0))):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x)
+
+        integrate_panels(f, scheme)
+        assert sizes == [(len(scheme.breakpoints) - 1) * scheme.panel_order]
 
 
-def test_semi_infinite_offset_start():
-    got = integrate_semi_infinite(lambda r: np.exp(-r), 2.0, 1.0)
-    assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda r: np.exp(-r), 0.0, -1.0)
+def _per_panel_loop(f, scheme):
+    """Reference: one integrand call per panel, as a plain loop."""
+    nodes, weights = gauss_legendre_rule(scheme.panel_order)
+    pieces = []
+    for a, b in zip(scheme.breakpoints, scheme.breakpoints[1:]):
+        half = 0.5 * (b - a)
+        pieces.append(half * float(weights @ f(a + half * (nodes + 1.0))))
+    return math.fsum(pieces)
 
 
-def test_rational_tail_gamma_integral():
-    scheme = QuadratureScheme(
-        panel_order=40,
-        breakpoints=(0.0, 2.0, 5.0),
-        tail=MapRationalTail(scale=5.0),
-    )
-    got = integrate_panels(lambda x: x**2.5 * np.exp(-x), scheme)
-    assert got == pytest.approx(math.gamma(3.5), rel=1e-10)
+@pytest.mark.parametrize("b1, b2", [(1.475, 1.475), (1.0, 2.0)])
+def test_batched_sum_matches_per_panel_loop(b1, b2):
+    alpha, ratio = 0.23165, 3.0
+    A, B = solve_normalisation(b1, alpha, ratio, b2)
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
+    cases = [
+        (radial_scheme(p), lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2)),
+        (radial_scheme(p), lambda r: r**4 * w_coordinate(r, p) * (math.sqrt(8.0) * u_coordinate(r, p) - w_coordinate(r, p))),
+        (momentum_scheme(p), lambda k: k * k * u_momentum(k, p) ** 2),
+        (momentum_scheme(p), lambda k: k * k * w_momentum(k, p) ** 2),
+    ]
+    for scheme, f in cases:
+        assert integrate_panels(f, scheme) == pytest.approx(_per_panel_loop(f, scheme), rel=1e-15)
 
 
 def test_nonfinite_integrand_is_reported():
