@@ -12,7 +12,7 @@ Units are fm-based throughout with hbar = c = 1: lengths in fm, momenta
 in fm^-1, wavefunction normalisations in fm^-1/2, Q in fm^2.
 """
 
-from .model import EPS_REGION, ModelParams, PotentialStrengths, Region, make_params, region_of
+from .model import EPS_REGION, ModelParams, PotentialStrengths, Region, region_of
 from .observables import (
     ObservablesReport,
     asymptotic_normalisations,
@@ -37,7 +37,6 @@ __all__ = [
     "asymptotic_normalisations",
     "ds_ratio",
     "fit_parameters",
-    "make_params",
     "quadrupole_moment",
     "region_of",
     "report",

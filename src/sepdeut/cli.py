@@ -34,7 +34,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +66,6 @@ EXIT_IO = 4
 EXIT_FIT_FAILED = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved inputs for one CLI invocation."""
-
-    params: ModelParams
-    panel_order: int = 40
-
-
 def _add_param_options(sub: argparse.ArgumentParser):
     g = sub.add_argument_group("model parameters")
     g.add_argument("--params-json", metavar="PATH", help="JSON file with b1_fm, b2_fm, alpha_inv_fm, A, B")
@@ -87,7 +78,7 @@ def _add_param_options(sub: argparse.ArgumentParser):
     g.add_argument("--panel-order", type=int, default=40, help="Gauss-Legendre points per panel (default 40)")
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_params(args) -> ModelParams:
     b1 = b2 = alpha = A = B = None
     if args.params_json:
         with open(args.params_json) as f:
@@ -113,10 +104,7 @@ def _resolve_config(args) -> RunConfig:
     if A is None:
         ratio = DEFAULT_RATIO if args.ratio is None else args.ratio
         A, B = solve_normalisation(b1, alpha, ratio, b2, panel_order=args.panel_order)
-    return RunConfig(
-        params=ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B),
-        panel_order=args.panel_order,
-    )
+    return ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
 
 
 @contextmanager
@@ -132,9 +120,9 @@ def _open_out(path):
 # subcommands
 
 def cmd_observables(args) -> int:
-    cfg = _resolve_config(args)
-    rep = report(cfg.params, panel_order=cfg.panel_order)
-    payload = {"params": cfg.params.to_dict(), "observables": rep.to_dict()}
+    p = _resolve_params(args)
+    rep = report(p, panel_order=args.panel_order)
+    payload = {"params": p.to_dict(), "observables": rep.to_dict()}
     with _open_out(args.output) as out:
         if args.table:
             rows = [("quantity", "value")] + [(k, repr(v)) for k, v in payload["observables"].items()]
@@ -159,8 +147,7 @@ def _float_grid(stop: float, step: float):
 
 
 def cmd_wavefunctions(args) -> int:
-    cfg = _resolve_config(args)
-    p = cfg.params
+    p = _resolve_params(args)
     grid = _float_grid(args.r_max, args.dr)
     overlay_rows = None
     overlay_fields = []
@@ -189,8 +176,7 @@ def cmd_wavefunctions(args) -> int:
 
 
 def cmd_momentum(args) -> int:
-    cfg = _resolve_config(args)
-    p = cfg.params
+    p = _resolve_params(args)
     grid = _float_grid(args.k_max, args.dk)
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -211,12 +197,7 @@ def cmd_momentum(args) -> int:
 def cmd_fit(args) -> int:
     targets = FitTargets(r_rms=args.target_rrms, Q=args.target_q)
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-    result = fit_parameters(
-        targets,
-        alpha,
-        initial=(args.start_b, args.start_ratio),
-        panel_order=args.panel_order,
-    )
+    result = fit_parameters(targets, alpha, panel_order=args.panel_order)
     payload = {
         "b_fm": result.b,
         "ratio": result.ratio,
@@ -241,8 +222,7 @@ def _rel(a: float, b: float) -> float:
 
 
 def cmd_validate(args) -> int:
-    cfg = _resolve_config(args)
-    p = cfg.params
+    p = _resolve_params(args)
     checks = []  # (name, deviation, tolerance)
 
     boundaries = []
@@ -259,14 +239,14 @@ def cmd_validate(args) -> int:
             db = deriv(r0, p, hi)
             checks.append((f"derivative {channel} at r={r0:.6g}", _rel(da, db), 1e-8))
 
-    trep = validate_transforms(p, panel_order=cfg.panel_order)
+    trep = validate_transforms(p, panel_order=args.panel_order)
     checks.append(("transform u, max over r grid", trep.max_abs_dev_u, 1e-7))
     checks.append(("transform w, max over r grid", trep.max_abs_dev_w, 1e-7))
 
-    pS_k = prob_S_numeric(p, panel_order=cfg.panel_order)
-    pD_k = prob_D_numeric(p, panel_order=cfg.panel_order)
-    pS_r = prob_S_coordinate(p, panel_order=cfg.panel_order)
-    pD_r = prob_D_coordinate(p, panel_order=cfg.panel_order)
+    pS_k = prob_S_numeric(p, panel_order=args.panel_order)
+    pD_k = prob_D_numeric(p, panel_order=args.panel_order)
+    pS_r = prob_S_coordinate(p, panel_order=args.panel_order)
+    pD_r = prob_D_coordinate(p, panel_order=args.panel_order)
     checks.append(("Parseval S (k-space vs r-space norm)", abs(pS_k - pS_r), 1e-7))
     checks.append(("Parseval D (k-space vs r-space norm)", abs(pD_k - pD_r), 1e-7))
 
@@ -322,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--target-rrms", type=float, default=2.08, help="target rms radius in fm (default 2.08)")
     p_fit.add_argument("--target-q", type=float, default=0.286, help="target quadrupole moment in fm^2 (default 0.286)")
     p_fit.add_argument("--alpha", type=float, help=f"bound-state wavenumber (default {DEFAULT_ALPHA})")
-    p_fit.add_argument("--start-b", type=float, default=1.2, help="initial range (default 1.2)")
-    p_fit.add_argument("--start-ratio", type=float, default=2.0, help="initial (B/A)^2 (default 2.0)")
     p_fit.add_argument("--panel-order", type=int, default=40, help="Gauss-Legendre points per panel (default 40)")
     p_fit.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     p_fit.set_defaults(func=cmd_fit)

@@ -1,30 +1,49 @@
-"""Damped-Newton fit of (b, ratio) to a target (r_rms, Q) pair.
+"""Fit of (b, ratio) to a target (r_rms, Q) pair, as a 1-D root in b.
 
-Equal ranges are assumed during fitting: the search space is the common
-range b and the strength ratio (B/A)^2, with A and B re-solved from the
-normalisation condition at every trial point, so the iteration is a pure
-2x2 root find on the scaled residuals
+Equal ranges are assumed.  Every observable is a quadratic form in the
+strengths over the unit-strength moments of one range b (see
+`observables._Moments`), so the r_rms target fixes the ratio (B/A)^2,
 
-    F = ( (r_rms(b, ratio) - r_rms*) / r_rms*,  (Q(b, ratio) - Q*) / s )
+    rho(b) = (4 r*^2 N_S - R_S) / (R_D - 4 r*^2 N_D),
 
-where s = Q* when Q* > 0 and 1 otherwise.  The Jacobian comes from
-forward differences.  If the damped iteration stalls, a coarse grid scan
-over b in [0.5, 3] and ratio in [0, 10] supplies a fresh start; failing
-that too, the best point seen is returned with converged = False.
+and what is left is h(b) = Q(b, rho(b)) - Q* = 0.  Where rho < 0, h =
+rho - Q*: both forms are -Q* at rho = 0, so h is continuous there.  Where
+the denominator vanishes rho jumps from +inf to -inf, but h is negative on
+both sides (Q -> -R_D / (20 N_D) < 0 <= Q*), so a pole is never a root.
+
+h is scanned at b/r* = 0.1, 0.2, ..., 2.  A cell is a candidate if h, or
+the numerator or denominator of rho, changes sign across it; the latter
+marks an edge of a window rho >= 0, which may be narrower than the cell.
+Candidates are taken in order of the smallest ratio at their ends (0 for a
+cell holding the rho = 0 edge) and dropped once that reaches the best root,
+so the root returned is the one with the smallest ratio.  A sign change of
+h is refined by safeguarded secant steps; an edge cell without one is
+bisected, at most `_EDGE_DEPTH` times.
+
+`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`.  No
+start is needed: `initial` is accepted and ignored, and the CLI has no
+start flags (`--start-b`, `--start-ratio`).  With no root, converged =
+False is returned at the evaluated point of smallest residual norm (ratio
+clipped at 0): the scan bracketed none.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .observables import _moments, solve_normalisation
 
-from .model import ModelParams
-from .observables import _q_core, _rms_core, solve_normalisation
-from .quadrature import QuadratureError
-
-_B_FLOOR = 0.05
+#: scanned ranges, in units of the target radius
+_SCAN = tuple(0.1 * i for i in range(1, 21))
+#: bisections of an edge cell that shows no sign change of h
+_EDGE_DEPTH = 3
+#: moment evaluations a fit may make: the scan, then 60 for edge
+#: bisections and root refinement together
+MAX_EVALUATIONS = len(_SCAN) + 60
+# refinement stops once the residual norm is this far below tolerance
+_REFINE_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -57,102 +76,113 @@ class FitResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One moment evaluation: rho's numerator and denominator, h, and the
+    residual norm at the ratio max(rho, 0)."""
+
+    b: float
+    num: float
+    den: float
+    rho: float
+    h: float
+    norm: float
+
+    @property
+    def ratio(self) -> float:
+        return max(self.rho, 0.0)
+
+
+def _changes(p: _Point, q: _Point, field: str) -> bool:
+    return (getattr(p, field) < 0) != (getattr(q, field) < 0)
+
+
 def fit_parameters(
     targets: FitTargets,
     alpha: float,
     initial=(1.2, 2.0),
     *,
-    max_iterations: int = 50,
     tolerance: float = 1e-6,
-    jacobian_rel_step: float = 1e-4,
-    max_backtracks: int = 8,
     panel_order: int = 40,
 ) -> FitResult:
     """Solve r_rms(b, ratio) = target, Q(b, ratio) = target.
 
-    Returns a FitResult whose `converged` flag reflects whether the
-    scaled residual norm reached `tolerance` within the iteration
-    budget; on failure the best point visited is reported.
+    Returns the root with the smallest ratio; `initial` is ignored.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
-    q_scale = targets.Q if targets.Q > 0 else 1.0
+    r_target, q_target = targets.r_rms, targets.Q
+    r2 = 4.0 * r_target * r_target
+    q_scale = q_target if q_target > 0 else 1.0
+    evaluated: list[_Point] = []
 
-    def residuals(b: float, ratio: float) -> np.ndarray:
-        A, B = solve_normalisation(b, alpha, ratio, panel_order=panel_order)
-        p = ModelParams(b1=b, b2=b, alpha=alpha, A=A, B=B)
-        return np.array(
-            [
-                (_rms_core(p, panel_order) - targets.r_rms) / targets.r_rms,
-                (_q_core(p, panel_order) - targets.Q) / q_scale,
-            ]
-        )
+    def point(b: float) -> _Point:
+        m = _moments(b, b, alpha, panel_order)
+        num = r2 * m.N_S - m.R_S
+        den = m.R_D - r2 * m.N_D
+        rho = num / den if den != 0 else -math.inf
+        A, B = m.strengths(max(rho, 0.0))
+        q = m.Q(A, B)
+        h = q - q_target if rho >= 0 else rho - q_target
+        norm = math.hypot((m.r_rms(A, B) - r_target) / r_target, (q - q_target) / q_scale)
+        p = _Point(b, num, den, rho, h, norm)
+        evaluated.append(p)
+        return p
 
-    evaluations = 0
-
-    def newton(b: float, ratio: float, budget: int):
-        nonlocal evaluations
-        F = residuals(b, ratio)
-        norm = float(np.linalg.norm(F))
-        for _ in range(budget):
-            if norm <= tolerance:
+    def refine(lo: _Point, hi: _Point) -> _Point:
+        """Shrink a bracket of h by secant steps through the two latest
+        points, bisecting whenever a step leaves the bracket half next to
+        the best point or fails to halve the step before last.  Returns
+        the point of smallest residual norm seen."""
+        best = min(lo, hi, key=lambda p: p.norm)
+        prev, cur, other = lo, hi, lo  # h(cur) and h(other) differ in sign
+        step = before = math.inf
+        while best.norm > _REFINE_MARGIN * tolerance and len(evaluated) < MAX_EVALUATIONS:
+            if not _changes(cur, other, "h"):
+                other = prev
+            if abs(other.h) < abs(cur.h):
+                prev, cur, other = cur, other, cur
+            half = 0.5 * (other.b - cur.b)
+            b = cur.b + half
+            if cur.h != prev.h:
+                secant = cur.b - cur.h * (cur.b - prev.b) / (cur.h - prev.h)
+                if 0 < (secant - cur.b) / half < 1 and abs(secant - cur.b) <= 0.5 * before:
+                    b = secant
+            if b in (cur.b, other.b):
                 break
-            evaluations += 1
-            hb = jacobian_rel_step * b
-            hr = jacobian_rel_step * max(ratio, 1.0)
-            J = np.empty((2, 2))
-            J[:, 0] = (residuals(b + hb, ratio) - F) / hb
-            J[:, 1] = (residuals(b, ratio + hr) - F) / hr
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            improved = False
-            damping = 1.0
-            for _ in range(max_backtracks + 1):
-                b_try = max(b + damping * step[0], _B_FLOOR)
-                ratio_try = max(ratio + damping * step[1], 0.0)
-                try:
-                    F_try = residuals(b_try, ratio_try)
-                except (ValueError, QuadratureError):
-                    damping *= 0.5
-                    continue
-                norm_try = float(np.linalg.norm(F_try))
-                if norm_try < norm:
-                    b, ratio, F, norm = b_try, ratio_try, F_try, norm_try
-                    improved = True
-                    break
-                damping *= 0.5
-            if not improved:
-                break
-        return b, ratio, norm
+            before, step = step, abs(b - cur.b)
+            prev, cur = cur, point(b)
+            best = min(best, cur, key=lambda p: p.norm)
+        return best
 
-    b0 = max(float(initial[0]), _B_FLOOR)
-    r0 = max(float(initial[1]), 0.0)
-    b, ratio, norm = newton(b0, r0, max_iterations)
+    candidates: list = []
 
-    if norm > tolerance:
-        # coarse scan for a better basin, then one more Newton run
-        best = (norm, b, ratio)
-        for b_g in np.linspace(0.5, 3.0, 13):
-            for r_g in np.linspace(0.0, 10.0, 11):
-                try:
-                    n_g = float(np.linalg.norm(residuals(b_g, r_g)))
-                except (ValueError, QuadratureError):
-                    continue
-                if n_g < best[0]:
-                    best = (n_g, float(b_g), float(r_g))
-        b2, ratio2, norm2 = newton(best[1], best[2], max_iterations)
-        if norm2 < norm:
-            b, ratio, norm = b2, ratio2, norm2
+    def consider(p: _Point, q: _Point, depth: int):
+        edge = _changes(p, q, "num") or _changes(p, q, "den")
+        if not (edge or _changes(p, q, "h")):
+            return
+        lowest = 0.0 if _changes(p, q, "num") else min(x.ratio for x in (p, q) if x.rho >= 0)
+        heapq.heappush(candidates, (lowest, p.b, depth, p, q))
 
-    A, B = solve_normalisation(b, alpha, ratio, panel_order=panel_order)
-    return FitResult(
-        b=b,
-        ratio=ratio,
-        A=A,
-        B=B,
-        residual_norm=norm,
-        iterations=evaluations,
-        converged=norm <= tolerance,
-    )
+    scan = [point(t * r_target) for t in _SCAN]
+    for p, q in zip(scan, scan[1:]):
+        consider(p, q, 0)
+
+    root = None
+    while candidates and len(evaluated) < MAX_EVALUATIONS:
+        lowest, _, depth, p, q = heapq.heappop(candidates)
+        if root is not None and lowest >= root.ratio:
+            break
+        if _changes(p, q, "h"):
+            found = refine(p, q)
+            if found.norm <= tolerance and (root is None or found.ratio < root.ratio):
+                root = found
+        elif depth < _EDGE_DEPTH:
+            mid = point(0.5 * (p.b + q.b))
+            consider(p, mid, depth + 1)
+            consider(mid, q, depth + 1)
+
+    best = root if root is not None else min(evaluated, key=lambda p: p.norm)
+    A, B = solve_normalisation(best.b, alpha, best.ratio, panel_order=panel_order)
+    return FitResult(b=best.b, ratio=best.ratio, A=A, B=B, residual_norm=best.norm,
+                     iterations=len(evaluated), converged=best.norm <= tolerance)

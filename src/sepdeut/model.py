@@ -115,11 +115,6 @@ class PotentialStrengths:
             raise ValueError("invalid strengths: " + "; ".join(problems))
 
 
-def make_params(b1: float, b2: float, alpha: float, A: float, B: float) -> ModelParams:
-    """Build a validated, canonically ordered parameter record."""
-    return ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
-
-
 def region_of(r: float, params: ModelParams) -> Region:
     """Classify a radius into inner / middle / outer.
 

@@ -10,8 +10,11 @@ polynomial data as the closed forms; leading-term cancellation is
 asserted, which guards both against transcription slips.
 
 Unequal ranges take the quadrature path over the momentum-space
-wavefunctions (smooth, k^-6 decay).  Everything downstream (rms radius,
-quadrupole moment) integrates the coordinate-space branches directly.
+wavefunctions (smooth, k^-6 decay).  The rms radius and quadrupole moment
+come from three radial moments of the coordinate-space branches at unit
+strengths, integrated together; with the two norm integrals they form
+one moment record, over which every observable is a quadratic form in
+the strengths (A, B).
 """
 
 from __future__ import annotations
@@ -173,6 +176,15 @@ def _probabilities(params: ModelParams, *, panel_order: int = 40):
     )
 
 
+def _strengths(N_S: float, N_D: float, ratio: float):
+    """A, B with A^2 N_S + B^2 N_D = 1 and (B/A)^2 = ratio >= 0."""
+    denom = N_S + ratio * N_D
+    if not (math.isfinite(denom) and denom > 0):
+        raise ValueError(f"degenerate normalisation: pS + ratio*pD = {denom!r}")
+    A = 1.0 / math.sqrt(denom)
+    return A, math.sqrt(ratio) * A
+
+
 def solve_normalisation(
     b1: float,
     alpha: float,
@@ -183,18 +195,67 @@ def solve_normalisation(
 ):
     """A, B making P_S + P_D = 1 at a prescribed ratio = (B/A)^2.
 
-    The norm is quadratic in the strengths, so with unit-strength channel
-    integrals pS, pD the solution is A = 1/sqrt(pS + ratio*pD).
+    The norm is quadratic in the strengths, so with the unit-strength
+    channel integrals N_S, N_D of the moment record the solution is
+    A = 1/sqrt(N_S + ratio*N_D).  Only those two moments are computed.
     """
     if not ratio >= 0:
         raise ValueError(f"ratio must be >= 0, got {ratio!r}")
     unit = ModelParams(b1=b1, b2=b1 if b2 is None else b2, alpha=alpha, A=1.0, B=1.0)
-    pS, pD, _ = _probabilities(unit, panel_order=panel_order)
-    denom = pS + ratio * pD
-    if not (math.isfinite(denom) and denom > 0):
-        raise ValueError(f"degenerate normalisation: pS + ratio*pD = {denom!r}")
-    A = 1.0 / math.sqrt(denom)
-    return A, math.sqrt(ratio) * A
+    N_S, N_D, _ = _probabilities(unit, panel_order=panel_order)
+    return _strengths(N_S, N_D, ratio)
+
+
+def _rms_core(unit: ModelParams, panel_order: int) -> np.ndarray:
+    """Radial moments (R_S, R_D, X) = integrals of r^2 (u^2, w^2, u w).
+
+    `unit` carries A = B = 1.  One integrand call evaluates u and w once
+    on every node and returns the three integrands stacked.
+    """
+
+    def f(r):
+        u = u_coordinate(r, unit)
+        w = w_coordinate(r, unit)
+        r2 = r * r
+        return np.stack([r2 * u * u, r2 * w * w, r2 * u * w])
+
+    return integrate_panels(f, radial_scheme(unit, panel_order=panel_order))
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Unit-strength (A = B = 1) moments at one (b1, b2, alpha, panel_order).
+
+    u is proportional to A and w to B, so every observable is a quadratic
+    form in the strengths over these five numbers:
+
+        P_S = A^2 N_S,  P_D = B^2 N_D,
+        r_rms = sqrt(A^2 R_S + B^2 R_D) / 2,
+        Q = (sqrt(8) A B X - B^2 R_D) / 20.
+    """
+
+    N_S: float
+    N_D: float
+    R_S: float
+    R_D: float
+    X: float
+    path: str
+
+    def strengths(self, ratio: float):
+        return _strengths(self.N_S, self.N_D, ratio)
+
+    def r_rms(self, A: float, B: float) -> float:
+        return 0.5 * math.sqrt(A * A * self.R_S + B * B * self.R_D)
+
+    def Q(self, A: float, B: float) -> float:
+        return (math.sqrt(8.0) * A * B * self.X - B * B * self.R_D) / 20.0
+
+
+def _moments(b1: float, b2: float, alpha: float, panel_order: int) -> _Moments:
+    unit = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
+    N_S, N_D, path = _probabilities(unit, panel_order=panel_order)
+    R_S, R_D, X = _rms_core(unit, panel_order)
+    return _Moments(N_S, N_D, float(R_S), float(R_D), float(X), path)
 
 
 def asymptotic_normalisations(params: ModelParams):
@@ -219,9 +280,10 @@ def ds_ratio(params: ModelParams) -> float:
     return A_D / A_S
 
 
-def _warn_if_unnormalised(params: ModelParams, *, panel_order: int = 40) -> float:
-    pS, pD, _ = _probabilities(params, panel_order=panel_order)
-    total = pS + pD
+def _normalised_moments(params: ModelParams, panel_order: int) -> _Moments:
+    """The moment record at params' ranges, warning if A, B miss a unit norm."""
+    m = _moments(params.b1, params.b2, params.alpha, panel_order)
+    total = params.A**2 * m.N_S + params.B**2 * m.N_D
     if abs(total - 1.0) > _NORMALISATION_WARN_TOL:
         warnings.warn(
             f"wavefunction is not normalised: P_S + P_D = {total:.6f}; "
@@ -229,39 +291,17 @@ def _warn_if_unnormalised(params: ModelParams, *, panel_order: int = 40) -> floa
             UserWarning,
             stacklevel=3,
         )
-    return total
-
-
-def _rms_core(params: ModelParams, panel_order: int) -> float:
-    scheme = radial_scheme(params, panel_order=panel_order)
-
-    def f(r):
-        return r * r * (u_coordinate(r, params) ** 2 + w_coordinate(r, params) ** 2)
-
-    return 0.5 * math.sqrt(integrate_panels(f, scheme))
-
-
-def _q_core(params: ModelParams, panel_order: int) -> float:
-    scheme = radial_scheme(params, panel_order=panel_order)
-    root8 = math.sqrt(8.0)
-
-    def f(r):
-        w = w_coordinate(r, params)
-        return r * r * w * (root8 * u_coordinate(r, params) - w)
-
-    return integrate_panels(f, scheme) / 20.0
+    return m
 
 
 def rms_radius(params: ModelParams, *, panel_order: int = 40) -> float:
     """Point-nucleon rms half-separation (fm); assumes unit norm (warns if not)."""
-    _warn_if_unnormalised(params, panel_order=panel_order)
-    return _rms_core(params, panel_order)
+    return _normalised_moments(params, panel_order).r_rms(params.A, params.B)
 
 
 def quadrupole_moment(params: ModelParams, *, panel_order: int = 40) -> float:
     """Quadrupole moment (fm^2); assumes unit norm (warns if not)."""
-    _warn_if_unnormalised(params, panel_order=panel_order)
-    return _q_core(params, panel_order)
+    return _normalised_moments(params, panel_order).Q(params.A, params.B)
 
 
 @dataclass(frozen=True)
@@ -292,22 +332,16 @@ class ObservablesReport:
 
 def report(params: ModelParams, *, panel_order: int = 40) -> ObservablesReport:
     """All observables at once, warning once if the norm is off."""
-    pS, pD, path = _probabilities(params, panel_order=panel_order)
-    if abs(pS + pD - 1.0) > _NORMALISATION_WARN_TOL:
-        warnings.warn(
-            f"wavefunction is not normalised: P_S + P_D = {pS + pD:.6f}; "
-            f"r_rms and Q assume a unit norm",
-            UserWarning,
-            stacklevel=2,
-        )
+    m = _normalised_moments(params, panel_order)
+    A, B = params.A, params.B
     A_S, A_D = asymptotic_normalisations(params)
     return ObservablesReport(
-        P_S=pS,
-        P_D=pD,
+        P_S=A * A * m.N_S,
+        P_D=B * B * m.N_D,
         A_S=A_S,
         A_D=A_D,
         eta=ds_ratio(params),
-        r_rms=_rms_core(params, panel_order),
-        Q=_q_core(params, panel_order),
-        probability_path=path,
+        r_rms=m.r_rms(A, B),
+        Q=m.Q(A, B),
+        probability_path=m.path,
     )

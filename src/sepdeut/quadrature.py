@@ -66,30 +66,36 @@ def _panel_sums(f, left, half, order: int):
 
     `half` is one half-width per panel, as a column (n, 1), or one for
     all panels.  Every node of every panel goes to `f` in one array, so
-    `f` is called exactly once.  Returns the unscaled sum over each
-    panel's nodes; the caller multiplies by the half-widths.
+    `f` is called exactly once.  `f` returns one value per node, or a
+    (k, n) stack of k integrands on the n nodes.  Returns the unscaled
+    sum over each panel's nodes, shape (n_panels,) or (k, n_panels); the
+    caller multiplies by the half-widths.
     """
     nodes, weights = gauss_legendre_rule(order)
     x = (left[:, None] + half * (nodes + 1.0)).ravel()
     vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
+    if vals.shape[-1:] != x.shape:
         vals = np.broadcast_to(vals, x.shape)
-    finite = np.isfinite(vals)
+    finite = np.isfinite(vals).reshape(-1, x.size).all(axis=0)
     if not finite.all():
         raise QuadratureError(f"integrand is non-finite at x = {x[~finite][0]!r}")
-    return vals.reshape(-1, order) @ weights
+    return vals.reshape(vals.shape[:-1] + (-1, order)) @ weights
 
 
 def integrate_panels(f, scheme: QuadratureScheme) -> float:
     """Sum Gauss-Legendre panel integrals over consecutive breakpoints.
 
     `f` must accept a numpy array of abscissae and return matching values;
-    it is called once, on the nodes of all panels together.
+    it is called once, on the nodes of all panels together.  An `f` that
+    returns a (k, n) stack of integrands gives an array of k integrals,
+    each summed exactly as a one-row integrand would be.
     """
     edges = np.array(scheme.breakpoints)
     half = 0.5 * np.diff(edges)
     sums = _panel_sums(f, edges[:-1], half[:, None], scheme.panel_order)
-    return math.fsum((half * sums).tolist())
+    if sums.ndim == 1:
+        return math.fsum((half * sums).tolist())
+    return np.array([math.fsum(row) for row in (half * sums).tolist()])
 
 
 def differentiate(f, x: float, h0: float = 1e-3) -> float:

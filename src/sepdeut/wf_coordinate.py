@@ -34,8 +34,6 @@ natural analytic continuation slightly outside its own region.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +45,6 @@ from .specfun import mod_sph_bessel_i, mod_sph_bessel_k
 DERIVATIVE_STEP = 1e-3
 
 _SERIES_CUT = 0.5
-
-
-@dataclass(frozen=True)
-class RadialSample:
-    """One radial sample: r in fm, u and w in fm^-1/2."""
-
-    r: float
-    u: float
-    w: float
-    region: Region
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +180,6 @@ _BRANCHES = {
     ("w", Region.OUTER): _w_outer,
 }
 
-# fault-injection hook for the validation suite: maps (channel, region)
-# to a multiplicative factor applied to that branch only
-_BRANCH_SCALE: dict = {}
-
-
-@contextmanager
-def branch_scaled(channel: str, region: Region, factor: float):
-    """Temporarily scale one analytic branch (validation-suite test hook)."""
-    key = (channel, region)
-    previous = _BRANCH_SCALE.get(key)
-    _BRANCH_SCALE[key] = factor
-    try:
-        yield
-    finally:
-        if previous is None:
-            _BRANCH_SCALE.pop(key, None)
-        else:
-            _BRANCH_SCALE[key] = previous
-
 
 def branch_value(channel: str, region: Region, r, params: ModelParams):
     """One region's formula evaluated at arbitrary r (analytic continuation).
@@ -223,9 +192,7 @@ def branch_value(channel: str, region: Region, r, params: ModelParams):
         f = _BRANCHES[(channel, region)]
     except KeyError:
         raise ValueError(f"no branch {channel!r} / {region!r}") from None
-    scale = _BRANCH_SCALE.get((channel, region), 1.0)
-    out = f(r, params)
-    return scale * out if scale != 1.0 else out
+    return f(r, params)
 
 
 def _piecewise(channel: str, r, params: ModelParams):
@@ -285,13 +252,3 @@ def du_dr(r: float, params: ModelParams, region: Region | None = None) -> float:
 def dw_dr(r: float, params: ModelParams, region: Region | None = None) -> float:
     """dw/dr at r > 0; see du_dr."""
     return _derivative("w", r, params, region)
-
-
-def radial_sample(r: float, params: ModelParams) -> RadialSample:
-    """u, w and region bookkeeping at a single radius."""
-    return RadialSample(
-        r=float(r),
-        u=u_coordinate(r, params),
-        w=w_coordinate(r, params),
-        region=region_of(r, params),
-    )

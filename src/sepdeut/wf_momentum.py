@@ -6,20 +6,10 @@ All evaluators are vectorized over k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .model import ModelParams, PotentialStrengths
 from .specfun import sph_bessel_j
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-@dataclass(frozen=True)
-class MomentumAmplitude:
-    """One momentum-space sample: k in fm^-1, value in fm^3/2."""
-
-    k: float
-    value: float
 
 
 def form_factor_central(k, params: ModelParams):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from sepdeut import wf_coordinate
 from sepdeut.cli import main
 from sepdeut.model import Region
-from sepdeut.wf_coordinate import branch_scaled
 
 
 def run(argv, capsys):
@@ -121,6 +121,12 @@ def test_fit_infeasible_exit_code(capsys):
     assert "converge" in err
 
 
+def test_fit_takes_no_start(capsys):
+    # the fit scans b and needs no starting point, so the flags are gone
+    assert run(["fit", "--start-b", "1.2"], capsys)[0] == 2
+    assert run(["fit", "--start-ratio", "2.0"], capsys)[0] == 2
+
+
 def test_validate_passes_clean(capsys):
     for extra in ([], ["--b1", "1.0", "--b2", "2.0"]):
         code, out, _ = run(["validate"] + extra, capsys)
@@ -129,9 +135,12 @@ def test_validate_passes_clean(capsys):
         assert "PASS" in out
 
 
-def test_validate_catches_injected_fault(capsys):
-    with branch_scaled("w", Region.MIDDLE, 1.0 + 1e-3):
-        code, out, _ = run(["validate"], capsys)
+def test_validate_catches_injected_fault(monkeypatch, capsys):
+    clean = wf_coordinate._BRANCHES[("w", Region.MIDDLE)]
+    monkeypatch.setitem(
+        wf_coordinate._BRANCHES, ("w", Region.MIDDLE), lambda r, p: (1.0 + 1e-3) * clean(r, p)
+    )
+    code, out, _ = run(["validate"], capsys)
     assert code == 1
     failing = [line for line in out.splitlines() if "FAIL" in line]
     assert any("continuity w" in line for line in failing)

@@ -5,12 +5,9 @@ import pytest
 
 from sepdeut.model import ModelParams, Region, region_of
 from sepdeut.wf_coordinate import (
-    RadialSample,
-    branch_scaled,
     branch_value,
     du_dr,
     dw_dr,
-    radial_sample,
     u_coordinate,
     w_coordinate,
 )
@@ -187,17 +184,6 @@ def test_strength_scaling():
     assert np.allclose(w_coordinate(r, p2), 0.25 * w_coordinate(r, p1), rtol=1e-15)
 
 
-def test_radial_sample_bookkeeping():
-    p = _params(1.0, 2.0, A=0.9, B=1.5)
-    s = radial_sample(0.5, p)
-    assert isinstance(s, RadialSample)
-    assert s.region is Region.INNER
-    assert s.u == u_coordinate(0.5, p)
-    assert s.w == w_coordinate(0.5, p)
-    assert radial_sample(2.0, p).region is Region.MIDDLE
-    assert radial_sample(9.0, p).region is Region.OUTER
-
-
 def test_scalar_array_consistency():
     p = _params(0.8, 1.1, A=0.9, B=1.5)
     r = np.array([0.1, 0.3, 1.7, 2.5])
@@ -206,21 +192,6 @@ def test_scalar_array_consistency():
     for i, ri in enumerate(r):
         assert vec_u[i] == u_coordinate(float(ri), p)
         assert vec_w[i] == w_coordinate(float(ri), p)
-
-
-def test_branch_scaled_hook_restores_state():
-    p = _params(1.475, 1.475)
-    clean = w_coordinate(1.0, p)
-    with branch_scaled("w", Region.MIDDLE, 2.0):
-        assert w_coordinate(1.0, p) == pytest.approx(2.0 * clean, rel=1e-15)
-        # the other channel is untouched
-        assert u_coordinate(1.0, p) == u_coordinate(1.0, p)
-    assert w_coordinate(1.0, p) == clean
-    # restores even when the body raises
-    with pytest.raises(RuntimeError):
-        with branch_scaled("w", Region.MIDDLE, 3.0):
-            raise RuntimeError("boom")
-    assert w_coordinate(1.0, p) == clean
 
 
 def test_branch_value_rejects_unknown_channel():

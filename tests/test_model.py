@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sepdeut.model import EPS_REGION, ModelParams, PotentialStrengths, Region, make_params, region_of
+from sepdeut.model import EPS_REGION, ModelParams, PotentialStrengths, Region, region_of
 
 
 def test_canonical_ordering_swaps_ranges():
@@ -71,7 +71,7 @@ def test_region_rejects_bad_radius():
 
 
 def test_dict_round_trip():
-    p = make_params(1.0, 2.0, 0.23165, 0.9, 1.5)
+    p = ModelParams(b1=1.0, b2=2.0, alpha=0.23165, A=0.9, B=1.5)
     d = p.to_dict()
     assert set(d) == {"b1_fm", "b2_fm", "alpha_inv_fm", "A", "B"}
     q = ModelParams.from_dict(d)
@@ -93,6 +93,6 @@ def test_strengths_validation():
 
 
 def test_frozen():
-    p = make_params(1.0, 2.0, 0.2, 1.0, 1.0)
+    p = ModelParams(b1=1.0, b2=2.0, alpha=0.2, A=1.0, B=1.0)
     with pytest.raises(Exception):
         p.b1 = 3.0

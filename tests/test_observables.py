@@ -20,6 +20,8 @@ from sepdeut.observables import (
     rms_radius,
     solve_normalisation,
 )
+from sepdeut.quadrature import integrate_panels, radial_scheme
+from sepdeut.wf_coordinate import u_coordinate, w_coordinate
 
 ALPHA = 0.23165
 B_RANGE = 1.475
@@ -209,3 +211,36 @@ def test_report_warns_once_when_unnormalised():
     with pytest.warns(UserWarning) as rec:
         report(_unit_params())
     assert len([w for w in rec if issubclass(w.category, UserWarning)]) == 1
+
+
+@pytest.mark.parametrize("b1, b2", [(1.475, 1.475), (1.0, 2.0)])
+@pytest.mark.parametrize("normalised", [True, False])
+def test_quadratic_form_matches_direct_integrals(b1, b2, normalised):
+    # report reads r_rms and Q off the unit-strength moments; integrate
+    # the observables directly from u and w at the actual strengths
+    A, B = solve_normalisation(b1, ALPHA, 3.0, b2) if normalised else (1.0, 1.0)
+    p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=A, B=B)
+    scheme = radial_scheme(p)
+    r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), scheme)
+
+    def q_integrand(r):
+        w = w_coordinate(r, p)
+        return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+
+    q = integrate_panels(q_integrand, scheme) / 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = report(p)
+    assert rep.r_rms == pytest.approx(0.5 * math.sqrt(r2), rel=1e-13)
+    assert rep.Q == pytest.approx(q, rel=1e-13)
+
+
+def test_report_evaluates_the_radial_wavefunctions_once(monkeypatch):
+    import sepdeut.observables as obs
+
+    calls = []
+    for name in ("u_coordinate", "w_coordinate"):
+        fn = getattr(obs, name)
+        monkeypatch.setattr(obs, name, lambda r, p, fn=fn, name=name: calls.append(name) or fn(r, p))
+    report(_solved_params())
+    assert sorted(calls) == ["u_coordinate", "w_coordinate"]

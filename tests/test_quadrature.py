@@ -68,6 +68,34 @@ def test_integrand_is_called_once_on_every_node():
         assert sizes == [(len(scheme.breakpoints) - 1) * scheme.panel_order]
 
 
+@pytest.mark.parametrize("b1, b2", [(1.475, 1.475), (1.0, 2.0)])
+def test_stacked_integrand_sums_each_row(b1, b2):
+    # a (3, n) integrand gives, row by row, the sums of one-row integrands
+    p = ModelParams(b1=b1, b2=b2, alpha=0.23165, A=1.0, B=1.0)
+    scheme = radial_scheme(p)
+    rows = [
+        lambda r: r * r * u_coordinate(r, p) ** 2,
+        lambda r: r * r * w_coordinate(r, p) ** 2,
+        lambda r: r * r * u_coordinate(r, p) * w_coordinate(r, p),
+    ]
+    stacked = integrate_panels(lambda r: np.stack([f(r) for f in rows]), scheme)
+    assert stacked.shape == (3,)
+    for got, f in zip(stacked, rows):
+        want = integrate_panels(f, scheme)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_stacked_integrand_names_the_bad_abscissa():
+    scheme = QuadratureScheme(panel_order=4, breakpoints=(0.0, 1.0, 2.0))
+
+    def f(x):
+        bad = np.where(x > 1.5, np.nan, x)
+        return np.stack([x, bad])
+
+    with pytest.raises(QuadratureError, match="non-finite at x = "):
+        integrate_panels(f, scheme)
+
+
 def _per_panel_loop(f, scheme):
     """Reference: one integrand call per panel, as a plain loop."""
     nodes, weights = gauss_legendre_rule(scheme.panel_order)
