@@ -12,7 +12,7 @@ Units are fm-based throughout with hbar = c = 1: lengths in fm, momenta
 in fm^-1, wavefunction normalisations in fm^-1/2, Q in fm^2.
 """
 
-from .model import EPS_REGION, ModelParams, PotentialStrengths, Region, region_of
+from .model import EPS_REGION, ModelParams, Region, region_of
 from .observables import (
     ObservablesReport,
     asymptotic_normalisations,
@@ -32,7 +32,6 @@ __all__ = [
     "FitTargets",
     "ModelParams",
     "ObservablesReport",
-    "PotentialStrengths",
     "Region",
     "asymptotic_normalisations",
     "ds_ratio",

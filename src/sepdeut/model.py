@@ -97,24 +97,6 @@ class ModelParams:
             raise ValueError(f"parameter dictionary is missing key {exc}") from None
 
 
-@dataclass(frozen=True)
-class PotentialStrengths:
-    """Separable-potential strengths divided by the nucleon mass (fm units)."""
-
-    lambdaC_over_M: float
-    lambdaT_over_M: float
-
-    def __post_init__(self):
-        problems = []
-        for name in ("lambdaC_over_M", "lambdaT_over_M"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0):
-                problems.append(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        if problems:
-            raise ValueError("invalid strengths: " + "; ".join(problems))
-
-
 def region_of(r: float, params: ModelParams) -> Region:
     """Classify a radius into inner / middle / outer.
 

@@ -5,9 +5,10 @@ prefactor times a bracket in x = alpha*b mixing a polynomial with
 exp(-2x) and exp(-4x) terms.  The brackets vanish like x^4 (S) and x^9
 (D) while their individual terms stay O(1), so below a switch point they
 are summed from their Taylor series instead.  The series coefficients
-are generated at import time by exact rational arithmetic from the same
-polynomial data as the closed forms; leading-term cancellation is
-asserted, which guards both against transcription slips.
+come from the package's one series generator, `specfun._exact_series`,
+which expands the same exp-polynomial pieces as the closed forms in
+exact rationals and asserts the leading-term cancellation, guarding
+both against transcription slips.
 
 Unequal ranges take the quadrature path over the momentum-space
 wavefunctions (smooth, k^-6 decay).  The rms radius and quadrupole moment
@@ -22,13 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .model import ModelParams
 from .quadrature import integrate_panels, momentum_scheme, radial_scheme
-from .specfun import mod_sph_bessel_i
+from .specfun import _horner, _series_table, mod_sph_bessel_i
 from .wf_coordinate import u_coordinate, w_coordinate
 from .wf_momentum import u_momentum, w_momentum
 
@@ -41,57 +41,19 @@ _PD_SERIES_CUT = 0.45
 _NORMALISATION_WARN_TOL = 1e-3
 
 
-def _exp_poly_coeffs(scale, poly, rate, n_max):
-    """Exact Taylor coefficients of scale * poly(x) * exp(rate*x)."""
-    out = [Fraction(0)] * (n_max + 1)
-    for j, pj in enumerate(poly):
-        if pj == 0:
-            continue
-        c = Fraction(scale) * pj
-        for n in range(j, n_max + 1):
-            out[n] += c * Fraction(rate) ** (n - j) / math.factorial(n - j)
-    return out
-
-
-def _bracket_series(pieces, n_max, leading_power):
-    total = [Fraction(0)] * (n_max + 1)
-    for piece in pieces:
-        for n, c in enumerate(piece):
-            total[n] += c
-    assert all(c == 0 for c in total[:leading_power]), "bracket series lost its leading zeros"
-    return tuple(float(c) for c in total[leading_power:])
-
-
 # S bracket: 8x - 9 + 4*(2x+3)*exp(-2x) - (4x+3)*exp(-4x), polynomials ascending
-_PS_SERIES = _bracket_series(
-    [
-        _exp_poly_coeffs(1, (-9, 8), 0, 26),
-        _exp_poly_coeffs(4, (3, 2), -2, 26),
-        _exp_poly_coeffs(-1, (3, 4), -4, 26),
-    ],
-    26,
-    4,
-)
+_PS_PIECES = ((1, (-9, 8), 0), (4, (3, 2), -2), (-1, (3, 4), -4))
+_PS_SERIES = _series_table(_PS_PIECES, 4, 23)
 
 # D bracket: 56x^5 - 135x^4 - 80x^3 + 450x^2 - 315
 #            - 60*(x+1)^2*(2x^3+3x^2-7)*exp(-2x)
 #            - 15*(x+1)^3*(4x^2+7x+7)*exp(-4x)
-_PD_SERIES = _bracket_series(
-    [
-        _exp_poly_coeffs(1, (-315, 0, 450, -80, -135, 56), 0, 30),
-        _exp_poly_coeffs(-60, (-7, -14, -4, 8, 7, 2), -2, 30),
-        _exp_poly_coeffs(-15, (7, 28, 46, 40, 19, 4), -4, 30),
-    ],
-    30,
-    9,
+_PD_PIECES = (
+    (1, (-315, 0, 450, -80, -135, 56), 0),
+    (-60, (-7, -14, -4, 8, 7, 2), -2),
+    (-15, (7, 28, 46, 40, 19, 4), -4),
 )
-
-
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+_PD_SERIES = _series_table(_PD_PIECES, 9, 22)
 
 
 def _pS_bracket(x: float) -> float:
@@ -141,15 +103,15 @@ def prob_D_closed(params: ModelParams) -> float:
     return params.B**2 / (240.0 * al**9 * b**8) * _pD_bracket(al * b)
 
 
-def prob_S_numeric(params: ModelParams, *, panel_order: int = 40, k_max: float = 80.0) -> float:
+def prob_S_numeric(params: ModelParams, *, panel_order: int = 40) -> float:
     """S-channel norm integral over k^2 u(k)^2; any ranges."""
-    scheme = momentum_scheme(params, k_max=k_max, panel_order=panel_order)
+    scheme = momentum_scheme(params, panel_order=panel_order)
     return integrate_panels(lambda k: k * k * u_momentum(k, params) ** 2, scheme)
 
 
-def prob_D_numeric(params: ModelParams, *, panel_order: int = 40, k_max: float = 80.0) -> float:
+def prob_D_numeric(params: ModelParams, *, panel_order: int = 40) -> float:
     """D-channel norm integral over k^2 w(k)^2; any ranges."""
-    scheme = momentum_scheme(params, k_max=k_max, panel_order=panel_order)
+    scheme = momentum_scheme(params, panel_order=panel_order)
     return integrate_panels(lambda k: k * k * w_momentum(k, params) ** 2, scheme)
 
 

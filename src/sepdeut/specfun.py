@@ -2,65 +2,82 @@
 
 j_l, i_l and k_l are all simple sin/cos/exp combinations, but for l >= 1
 the closed forms subtract nearly equal terms near the origin and lose
-roughly 2*log10(1/x) digits (j2 and i2 are worst).  Below a switch point
-each function is therefore evaluated from its Taylor series instead; the
-k_l have no such cancellation and use the closed forms everywhere.
+roughly 2*log10(1/x) digits (j2 and i2 are worst).  Below the switch
+point 0.5 each function is therefore evaluated from its Taylor series
+instead; the k_l have no such cancellation and use the closed forms
+everywhere.
+
+Every small-argument series in the package, here and in `wf_coordinate`
+and `observables`, comes from one generator, `_exact_series`: it expands
+the same exp-polynomial that the closed form sums (scale * poly(x) *
+exp(rate*x) pieces) in exact rationals, asserts that the cancelled
+leading terms vanish, and hands the surviving coefficients to Horner's
+rule.  The i_l tables come from x^(l+1) i_l(x); j_l reads the same
+tables at -x^2.
 
 All evaluators accept scalars or numpy arrays and return matching shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from fractions import Fraction
 
 import numpy as np
 
-_DOUBLE_EPS = 2.0**-52
+#: series below this argument, closed form at and above it
+_SERIES_CUT = 0.5
 
 
-@dataclass(frozen=True)
-class SpecialFunctionPolicy:
-    """Switch point and series length for the small-argument fallback."""
-
-    small_arg_threshold: float = 0.5
-    series_terms: int = 12
-
-    def __post_init__(self):
-        t = float(self.small_arg_threshold)
-        n = int(self.series_terms)
-        if not t > 0:
-            raise ValueError(f"small_arg_threshold must be > 0, got {t!r}")
-        if n < 1:
-            raise ValueError(f"series_terms must be >= 1, got {n!r}")
-        # First omitted term, relative to the leading one, for the worst
-        # case l = 0 (larger l converges faster).  Must be below one ulp.
-        ratio = 1.0
-        for m in range(n):
-            ratio *= t * t / (2 * (m + 1) * (2 * m + 3))
-        if ratio >= _DOUBLE_EPS:
-            raise ValueError(
-                f"series truncation error {ratio:.3e} at threshold {t} is not "
-                f"below 2^-52; increase series_terms or lower the threshold"
-            )
-        object.__setattr__(self, "small_arg_threshold", t)
-        object.__setattr__(self, "series_terms", n)
+def _exp_poly_coeffs(scale, poly, rate, n_max):
+    """Exact Taylor coefficients of scale * poly(x) * exp(rate*x)."""
+    exp = [Fraction(rate) ** n / math.factorial(n) for n in range(n_max + 1)]
+    out = [Fraction(0)] * (n_max + 1)
+    for j, pj in enumerate(poly):
+        c = Fraction(scale) * Fraction(pj)
+        for n in range(j, n_max + 1):
+            out[n] += c * exp[n - j]
+    return out
 
 
-DEFAULT_POLICY = SpecialFunctionPolicy()
+def _exact_series(pieces, leading_power, n_terms, step=1):
+    """Exact c_0..c_{n_terms-1} of the pieces' sum, x^leading_power * sum_m c_m x^(step*m).
 
-_DOUBLE_FACTORIAL = {0: 1.0, 1: 1.0, 2: 3.0, 3: 15.0, 4: 105.0, 5: 945.0}
+    Each piece (scale, poly, rate) is scale * poly(x) * exp(rate*x) with
+    poly ascending; scale and poly hold integers or dyadic floats such as
+    0.5, which convert to rationals exactly.  Every coefficient below
+    `leading_power` or off the step must vanish; the assertion guards the
+    pieces against slips.
+    """
+    n_max = leading_power + step * (n_terms - 1)
+    total = [sum(col) for col in zip(*(_exp_poly_coeffs(*p, n_max) for p in pieces))]
+    assert not any(
+        c for n, c in enumerate(total) if n < leading_power or (n - leading_power) % step
+    ), "series lost its leading zeros"
+    return total[leading_power::step]
 
 
-def _series(l: int, x: np.ndarray, terms: int, sign: float) -> np.ndarray:
-    # j_l for sign=-1, i_l for sign=+1:  x^l/(2l+1)!! * sum_n c_n,
-    # c_0 = 1, c_{n+1} = c_n * sign*x^2 / (2(n+1)(2l+2n+3)).
-    x2 = x * x
-    acc = np.ones_like(x)
-    term = np.ones_like(x)
-    for n in range(terms - 1):
-        term = term * (sign * x2) / (2.0 * (n + 1) * (2 * l + 2 * n + 3))
-        acc = acc + term
-    return x**l / _DOUBLE_FACTORIAL[l + 1] * acc
+def _series_table(pieces, leading_power, n_terms, step=1):
+    """The coefficients of `_exact_series` rounded to doubles."""
+    return tuple(float(c) for c in _exact_series(pieces, leading_power, n_terms, step))
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# x^(l+1) i_l(x): sinh x, x cosh x - sinh x, (x^2+3) sinh x - 3x cosh x
+_I_PIECES = (
+    ((0.5, (1,), 1), (-0.5, (1,), -1)),
+    ((0.5, (-1, 1), 1), (0.5, (1, 1), -1)),
+    ((0.5, (3, -3, 1), 1), (-0.5, (3, 3, 1), -1)),
+)
+
+# i_l(x) = x^l * sum_m c_m (x^2)^m and j_l(x) = x^l * sum_m c_m (-x^2)^m
+_I_SERIES = tuple(_series_table(p, 2 * l + 1, 8, 2) for l, p in enumerate(_I_PIECES))
 
 
 def _j_closed(l: int, x: np.ndarray) -> np.ndarray:
@@ -85,34 +102,43 @@ def _check_order(l: int) -> int:
     return l
 
 
-def _split_eval(l, x, policy, closed, sign):
+def _split(x: np.ndarray, series, closed) -> np.ndarray:
+    """series(x) where |x| < _SERIES_CUT, closed(x) elsewhere."""
+    small = np.abs(x) < _SERIES_CUT
+    out = np.empty_like(x)
+    if np.any(small):
+        out[small] = series(x[small])
+    if not np.all(small):
+        out[~small] = closed(x[~small])
+    return out
+
+
+def _bessel_series(l: int, x: np.ndarray, sign: float) -> np.ndarray:
+    """x^l * sum_m c_m (sign*x^2)^m: i_l for sign = +1, j_l for sign = -1."""
+    return x**l * _horner(_I_SERIES[l], sign * x * x)
+
+
+def _split_eval(l, x, closed, sign):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("argument must be finite")
     if np.any(xa < 0):
         raise ValueError("argument must be non-negative")
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    out = np.empty_like(xa)
-    small = xa < policy.small_arg_threshold
-    if np.any(small):
-        out[small] = _series(l, xa[small], policy.series_terms, sign)
-    if np.any(~small):
-        out[~small] = closed(l, xa[~small])
-    return float(out[0]) if scalar else out
+    out = _split(np.atleast_1d(xa), lambda s: _bessel_series(l, s, sign), lambda s: closed(l, s))
+    return float(out[0]) if xa.ndim == 0 else out
 
 
-def sph_bessel_j(l: int, x, policy: SpecialFunctionPolicy = DEFAULT_POLICY):
+def sph_bessel_j(l: int, x):
     """Spherical Bessel function j_l(x), l in {0, 1, 2}, x >= 0."""
-    return _split_eval(_check_order(l), x, policy, _j_closed, -1.0)
+    return _split_eval(_check_order(l), x, _j_closed, -1.0)
 
 
-def mod_sph_bessel_i(l: int, x, policy: SpecialFunctionPolicy = DEFAULT_POLICY):
+def mod_sph_bessel_i(l: int, x):
     """Modified spherical Bessel function i_l(x), l in {0, 1, 2}, x >= 0.
 
     Convention: i0 = sinh(x)/x, so i_l(x) ~ x^l/(2l+1)!! at the origin.
     """
-    return _split_eval(_check_order(l), x, policy, _i_closed, 1.0)
+    return _split_eval(_check_order(l), x, _i_closed, 1.0)
 
 
 def mod_sph_bessel_k(l: int, x):

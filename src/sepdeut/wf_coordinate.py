@@ -21,6 +21,11 @@ handled by exact algebraic regroupings rather than extra precision:
   sinh^2(y/2)-(y/2)^2 groupings) so nearly-equal ranges keep full
   precision.
 
+The series for g and for sinh(y)-y, like the i2 series behind x*i2(x),
+come from the exact-rational generator `specfun._exact_series`, fed the
+same exp-polynomial that the closed form evaluates, and switch at the
+same cut, 0.5.
+
 The inner D-channel coefficient carries a minus sign: the direct
 numerical transform of the momentum wavefunction is negative below
 b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
@@ -39,27 +44,37 @@ import numpy as np
 
 from .model import ModelParams, Region, region_of
 from .quadrature import differentiate
-from .specfun import mod_sph_bessel_i, mod_sph_bessel_k
+from .specfun import (
+    _SERIES_CUT,
+    _horner,
+    _series_table,
+    _split,
+    mod_sph_bessel_i,
+    mod_sph_bessel_k,
+)
 
 #: default step for Richardson derivative stencils (fm)
 DERIVATIVE_STEP = 1e-3
 
-_SERIES_CUT = 0.5
+# sinh y - y = e^y/2 - e^-y/2 - y = y^3 * sum_m c_m y^(2m)
+_SINH_MINUS_PIECES = ((0.5, (1,), 1), (-0.5, (1,), -1), (-1, (0, 1), 0))
+_SINH_MINUS_SERIES = _series_table(_SINH_MINUS_PIECES, 3, 8, 2)
+
+# g(x) = x*k2(x) - 3/x^2 + 1/2: the 1/x^2 poles of the middle bracket
+# cancel inside this combination.  x^2 g = e^-x (x^2+3x+3) - 3 + x^2/2,
+# so g(x) = x^2 * sum_m c_m x^m.
+_G_PIECES = ((1, (3, 3, 1), -1), (1, (-3, 0, 0.5), 0))
+_G_SERIES = _series_table(_G_PIECES, 4, 15)
 
 
 # ---------------------------------------------------------------------------
 # stable scalar helpers for the bracket coefficients
 
 def _sinh_minus(y: float) -> float:
-    """sinh(y) - y without cancellation (series below 0.5)."""
+    """sinh(y) - y without cancellation (series below the cut)."""
     if abs(y) >= _SERIES_CUT:
         return math.sinh(y) - y
-    acc = 0.0
-    term = y**3 / 6.0
-    for n in range(1, 9):
-        acc += term
-        term *= y * y / ((2 * n + 2) * (2 * n + 3))
-    return acc
+    return y**3 * _horner(_SINH_MINUS_SERIES, y * y)
 
 
 def _sinh_sq_minus(t: float) -> float:
@@ -72,23 +87,9 @@ def _sinh_sq_minus(t: float) -> float:
 # derivative stencils may cross r = 0
 
 def _xi2(x):
-    """x * i2(x); odd entire function, series below |x| = 0.5."""
+    """x * i2(x); odd because i2 is even."""
     xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
-    small = np.abs(xa) < _SERIES_CUT
-    if np.any(small):
-        xs = xa[small]
-        x2 = xs * xs
-        acc = np.ones_like(xs)
-        term = np.ones_like(xs)
-        for n in range(11):
-            term = term * x2 / (2.0 * (n + 1) * (2 * n + 7))
-            acc = acc + term
-        out[small] = xs * x2 / 15.0 * acc
-    if np.any(~small):
-        xb = xa[~small]
-        out[~small] = ((xb * xb + 3.0) * np.sinh(xb) - 3.0 * xb * np.cosh(xb)) / (xb * xb)
-    return out
+    return xa * mod_sph_bessel_i(2, np.abs(xa))
 
 
 def _xk2(x):
@@ -97,23 +98,12 @@ def _xk2(x):
     return np.exp(-xa) * (1.0 + 3.0 / xa + 3.0 / (xa * xa))
 
 
-# g(x) = x*k2(x) - 3/x^2 + 1/2: the 1/x^2 poles of the middle bracket
-# cancel inside this combination.  Series sum_{m>=2} (-1)^m (m^2-1)/(m+2)! x^m.
-_G_COEFFS = np.array(
-    [0.0, 0.0] + [(-1.0) ** m * (m * m - 1) / math.factorial(m + 2) for m in range(2, 17)]
-)
-
-
 def _g(x):
-    xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
-    small = np.abs(xa) < _SERIES_CUT
-    if np.any(small):
-        out[small] = np.polynomial.polynomial.polyval(xa[small], _G_COEFFS)
-    if np.any(~small):
-        xb = xa[~small]
-        out[~small] = np.exp(-xb) * (1.0 + 3.0 / xb + 3.0 / (xb * xb)) - 3.0 / (xb * xb) + 0.5
-    return out
+    return _split(
+        np.asarray(x, dtype=float),
+        lambda s: s * s * _horner(_G_SERIES, s),
+        lambda s: _xk2(s) - 3.0 / (s * s) + 0.5,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Form factors, momentum-space wavefunctions and potential kernels.
+"""Form factors and momentum-space wavefunctions.
 
 All evaluators are vectorized over k.
 """
@@ -6,7 +6,7 @@ All evaluators are vectorized over k.
 from __future__ import annotations
 
 import math
-from .model import ModelParams, PotentialStrengths
+from .model import ModelParams
 from .specfun import sph_bessel_j
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -30,16 +30,3 @@ def u_momentum(k, params: ModelParams):
 def w_momentum(k, params: ModelParams):
     """D-channel momentum wavefunction B*sqrt(2/pi)*g_T(k)/(k^2+alpha^2); w(0)=0."""
     return params.B * SQRT_2_OVER_PI * form_factor_tensor(k, params) / (k * k + params.alpha**2)
-
-
-def potential_kernel(channel: str, k, kprime, params: ModelParams, strengths: PotentialStrengths):
-    """Separable kernel V(k, k') for one channel.
-
-    central:  -(lambda_C/M) * g_C(k) * g_C(k')   (attractive)
-    tensor:   +(lambda_T/M) * g_T(k) * g_T(k')
-    """
-    if channel == "central":
-        return -strengths.lambdaC_over_M * form_factor_central(k, params) * form_factor_central(kprime, params)
-    if channel == "tensor":
-        return strengths.lambdaT_over_M * form_factor_tensor(k, params) * form_factor_tensor(kprime, params)
-    raise ValueError(f"channel must be 'central' or 'tensor', got {channel!r}")

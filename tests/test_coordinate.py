@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from sepdeut.model import ModelParams, Region, region_of
+from sepdeut.specfun import _horner, mod_sph_bessel_k
 from sepdeut.wf_coordinate import (
+    _G_SERIES,
+    _SINH_MINUS_SERIES,
+    _g,
+    _sinh_minus,
     branch_value,
     du_dr,
     dw_dr,
@@ -198,3 +203,26 @@ def test_branch_value_rejects_unknown_channel():
     p = _params(1.475, 1.475)
     with pytest.raises(ValueError):
         branch_value("v", Region.MIDDLE, 1.0, p)
+
+
+# Both paths of each bracket helper must agree across the switch at 0.5,
+# on the same band as the j_l / i_l check in test_specfun.  The closed
+# form of g cancels 3/x^2 against the pole of x*k2(x) down to O(x^2/8)
+# and loses ~3 digits near x = 0.35, hence its looser tolerance.
+SWITCH_BAND = np.linspace(0.35, 0.65, 61)
+
+
+def test_g_series_and_closed_agree_in_switch_band():
+    x = SWITCH_BAND
+    closed = x * mod_sph_bessel_k(2, x) - 3.0 / (x * x) + 0.5
+    series = x * x * _horner(_G_SERIES, x)
+    assert np.max(np.abs(series - closed) / np.abs(closed)) < 5e-12
+    assert np.max(np.abs(_g(x) - closed) / np.abs(closed)) < 5e-12
+
+
+def test_sinh_minus_series_and_closed_agree_in_switch_band():
+    for y in SWITCH_BAND:
+        closed = math.sinh(y) - y
+        series = y**3 * _horner(_SINH_MINUS_SERIES, y * y)
+        assert abs(series - closed) < 1e-14 * abs(closed)
+        assert abs(_sinh_minus(y) - closed) < 1e-14 * abs(closed)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sepdeut.model import EPS_REGION, ModelParams, PotentialStrengths, Region, region_of
+from sepdeut.model import EPS_REGION, ModelParams, Region, region_of
 
 
 def test_canonical_ordering_swaps_ranges():
@@ -81,15 +81,6 @@ def test_dict_round_trip():
 def test_from_dict_missing_key():
     with pytest.raises(ValueError, match="missing"):
         ModelParams.from_dict({"b1_fm": 1.0, "b2_fm": 2.0, "alpha_inv_fm": 0.2})
-
-
-def test_strengths_validation():
-    s = PotentialStrengths(lambdaC_over_M=0.38, lambdaT_over_M=0.09)
-    assert s.lambdaC_over_M == 0.38
-    with pytest.raises(ValueError):
-        PotentialStrengths(lambdaC_over_M=-1.0, lambdaT_over_M=0.1)
-    with pytest.raises(ValueError):
-        PotentialStrengths(lambdaC_over_M=0.1, lambdaT_over_M=0.0)
 
 
 def test_frozen():

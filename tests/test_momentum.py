@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sepdeut.model import ModelParams, PotentialStrengths
+from sepdeut.model import ModelParams
 from sepdeut.wf_momentum import (
     SQRT_2_OVER_PI,
     form_factor_central,
     form_factor_tensor,
-    potential_kernel,
     u_momentum,
     w_momentum,
 )
@@ -78,35 +77,6 @@ def test_momentum_scaling_in_strengths():
     p2 = ModelParams(b1=1.2, b2=1.7, alpha=0.25, A=3.0, B=0.5)
     assert np.allclose(u_momentum(k, p2), 3.0 * u_momentum(k, p1), rtol=1e-15)
     assert np.allclose(w_momentum(k, p2), 0.5 * w_momentum(k, p1), rtol=1e-15)
-
-
-class TestPotentialKernel:
-    strengths = PotentialStrengths(lambdaC_over_M=0.38, lambdaT_over_M=0.09)
-
-    def test_central_attractive(self):
-        v = potential_kernel("central", 0.3, 0.7, CANONICAL, self.strengths)
-        assert v < 0
-
-    def test_tensor_positive_sign(self):
-        v = potential_kernel("tensor", 0.3, 0.7, CANONICAL, self.strengths)
-        assert v > 0
-
-    def test_separability(self):
-        # V(k,k') V(p,p') = V(k,p') V(p,k') for a rank-one kernel
-        for channel in ("central", "tensor"):
-            v = lambda x, y: potential_kernel(channel, x, y, CANONICAL, self.strengths)
-            lhs = v(0.3, 0.9) * v(1.4, 2.2)
-            rhs = v(0.3, 2.2) * v(1.4, 0.9)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_symmetry(self):
-        v1 = potential_kernel("central", 0.4, 1.1, CANONICAL, self.strengths)
-        v2 = potential_kernel("central", 1.1, 0.4, CANONICAL, self.strengths)
-        assert v1 == pytest.approx(v2, rel=1e-15)
-
-    def test_unknown_channel(self):
-        with pytest.raises(ValueError, match="channel"):
-            potential_kernel("spin-orbit", 0.3, 0.7, CANONICAL, self.strengths)
 
 
 def test_vectorized_shapes():

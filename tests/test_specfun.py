@@ -1,25 +1,45 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
+from sepdeut.observables import (
+    _PD_PIECES,
+    _PD_SERIES,
+    _PD_SERIES_CUT,
+    _PS_PIECES,
+    _PS_SERIES,
+    _PS_SERIES_CUT,
+)
 from sepdeut.specfun import (
-    DEFAULT_POLICY,
-    SpecialFunctionPolicy,
+    _I_PIECES,
+    _I_SERIES,
+    _SERIES_CUT,
+    _bessel_series,
+    _exact_series,
+    _i_closed,
+    _j_closed,
     mod_sph_bessel_i,
     mod_sph_bessel_k,
     sph_bessel_j,
 )
+from sepdeut.wf_coordinate import _G_PIECES, _G_SERIES, _SINH_MINUS_PIECES, _SINH_MINUS_SERIES
 
 # High-precision reference values (40-digit arithmetic, rounded to double).
 J2_AT_1 = 0.062035052011373861
 I0_AT_0342 = 1.0196083228142183
 K2_AT_0342 = 73.57057131125946
 
-# forces the closed forms everywhere / the series well past the default band
-CLOSED_ONLY = SpecialFunctionPolicy(small_arg_threshold=1e-12, series_terms=12)
-SERIES_WIDE = SpecialFunctionPolicy(small_arg_threshold=0.7, series_terms=14)
+# every generated series table: (pieces, leading power, step, table, cut)
+SERIES_TABLES = {
+    **{f"i{l}": (_I_PIECES[l], 2 * l + 1, 2, _I_SERIES[l], _SERIES_CUT) for l in range(3)},
+    "sinh_minus": (_SINH_MINUS_PIECES, 3, 2, _SINH_MINUS_SERIES, _SERIES_CUT),
+    "g": (_G_PIECES, 4, 1, _G_SERIES, _SERIES_CUT),
+    "P_S": (_PS_PIECES, 4, 1, _PS_SERIES, _PS_SERIES_CUT),
+    "P_D": (_PD_PIECES, 9, 1, _PD_SERIES, _PD_SERIES_CUT),
+}
 
 
 def test_small_argument_limits():
@@ -51,10 +71,27 @@ def test_series_and_closed_agree_in_switch_band(l):
     # x = 0.35, losing ~3 digits, so its tolerance is correspondingly looser
     tol = 1e-13 if l < 2 else 5e-12
     x = np.linspace(0.35, 0.65, 61)
-    for f in (sph_bessel_j, mod_sph_bessel_i):
-        a = f(l, x, CLOSED_ONLY)
-        b = f(l, x, SERIES_WIDE)
+    for closed, sign in ((_j_closed, -1.0), (_i_closed, 1.0)):
+        a = closed(l, x)
+        b = _bessel_series(l, x, sign)
         assert np.max(np.abs(a - b) / np.abs(a)) < tol
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_TABLES))
+def test_series_truncation_below_one_ulp(name):
+    # the first exact term a table leaves out, at the table's cut, must be
+    # below 2^-52 of the leading term there
+    pieces, leading_power, step, table, cut = SERIES_TABLES[name]
+    n = len(table)
+    exact = _exact_series(pieces, leading_power, n + 1, step)
+    assert tuple(float(c) for c in exact[:n]) == table
+    assert abs(exact[n]) * Fraction(cut) ** (step * n) < Fraction(1, 2**52) * abs(exact[0])
+
+
+def test_series_generator_rejects_uncancelled_leading_terms():
+    # sinh x alone has no x^3 leading power: its x^1 term survives
+    with pytest.raises(AssertionError, match="leading zeros"):
+        _exact_series(_I_PIECES[0], 3, 4, 2)
 
 
 def test_wronskian_identity():
@@ -87,20 +124,6 @@ def test_against_scipy(l):
     xk = np.linspace(0.05, 12.0, 60)
     ours = mod_sph_bessel_k(l, xk)
     assert ours == pytest.approx(scipy.special.spherical_kn(l, xk) / (math.pi / 2.0), rel=1e-13)
-
-
-def test_policy_rejects_insufficient_series():
-    with pytest.raises(ValueError, match="truncation"):
-        SpecialFunctionPolicy(small_arg_threshold=0.5, series_terms=3)
-    with pytest.raises(ValueError):
-        SpecialFunctionPolicy(small_arg_threshold=-0.1)
-    with pytest.raises(ValueError):
-        SpecialFunctionPolicy(series_terms=0)
-
-
-def test_default_policy_values():
-    assert DEFAULT_POLICY.small_arg_threshold == 0.5
-    assert DEFAULT_POLICY.series_terms == 12
 
 
 def test_domain_errors():
