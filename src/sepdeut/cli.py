@@ -24,6 +24,10 @@ condition at the requested ratio.
 
 CSV output is deterministic: floats are written with repr, which
 round-trips exactly, so identical inputs give byte-identical files.
+Each CSV column is evaluated with one call over the whole grid, and
+every value is bit-identical to the per-point evaluator's at that point.
+All evaluation happens before the output is opened, so a failed run
+leaves no partial file.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .fitting import FitTargets, fit_parameters
-from .model import ModelParams, Region, region_of
+from .model import ModelParams, Region, _region_masks
 from .observables import (
     prob_D_closed,
     prob_D_coordinate,
@@ -135,7 +139,7 @@ def cmd_observables(args) -> int:
     return EXIT_OK
 
 
-def _float_grid(stop: float, step: float):
+def _float_grid(stop: float, step: float) -> np.ndarray:
     """Points i*step from 0 up to stop; the 1e-12 slack keeps a last point
     that lands on stop up to rounding, and no point passes it."""
     if not (math.isfinite(step) and step > 0):
@@ -143,13 +147,16 @@ def _float_grid(stop: float, step: float):
     if not (math.isfinite(stop) and stop >= 0):
         raise ValueError(f"grid end must be finite and >= 0, got {stop!r}")
     n = math.floor(stop / step * (1.0 + 1e-12))
-    return [i * step for i in range(n + 1)]
+    return np.arange(n + 1) * step
+
+
+def _reprs(values: np.ndarray) -> list:
+    return [repr(v) for v in values.tolist()]
 
 
 def cmd_wavefunctions(args) -> int:
     p = _resolve_params(args)
     grid = _float_grid(args.r_max, args.dr)
-    overlay_rows = None
     overlay_fields = []
     if args.overlay:
         with open(args.overlay, newline="") as f:
@@ -161,36 +168,28 @@ def cmd_wavefunctions(args) -> int:
         overlay_r = np.array([float(row["r_fm"]) for row in overlay_rows])
         if overlay_r.size == 0:
             raise ValueError(f"overlay file {args.overlay!r} has no data rows")
+    columns = [_reprs(grid), _reprs(u_coordinate(grid, p)), _reprs(w_coordinate(grid, p))]
+    columns.append(np.select(_region_masks(grid, p), [reg.value for reg in Region], default="").tolist())
+    if overlay_fields:
+        near = [overlay_rows[int(np.argmin(np.abs(overlay_r - r)))] for r in grid.tolist()]
+        columns += [[row[name] for row in near] for name in overlay_fields]
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        header = ["r_fm", "u", "w", "region"]
-        header += [f"ref_{name}" for name in overlay_fields]
-        writer.writerow(header)
-        for r in grid:
-            row = [repr(r), repr(u_coordinate(r, p)), repr(w_coordinate(r, p)), region_of(r, p).value]
-            if overlay_rows is not None:
-                near = int(np.argmin(np.abs(overlay_r - r)))
-                row += [overlay_rows[near][name] for name in overlay_fields]
-            writer.writerow(row)
+        writer.writerow(["r_fm", "u", "w", "region"] + [f"ref_{name}" for name in overlay_fields])
+        writer.writerows(zip(*columns))
     return EXIT_OK
 
 
 def cmd_momentum(args) -> int:
     p = _resolve_params(args)
     grid = _float_grid(args.k_max, args.dk)
+    columns = [_reprs(grid)] + [
+        _reprs(f(grid, p)) for f in (form_factor_central, form_factor_tensor, u_momentum, w_momentum)
+    ]
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k_inv_fm", "g_C", "g_T", "u_k", "w_k"])
-        for k in grid:
-            writer.writerow(
-                [
-                    repr(k),
-                    repr(float(form_factor_central(k, p))),
-                    repr(float(form_factor_tensor(k, p))),
-                    repr(float(u_momentum(k, p))),
-                    repr(float(w_momentum(k, p))),
-                ]
-            )
+        writer.writerows(zip(*columns))
     return EXIT_OK
 
 

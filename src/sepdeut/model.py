@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 # Below this range difference (fm) the two ranges are treated as equal:
 # the inner region collapses to an empty interval.
 EPS_REGION = 1e-9
@@ -97,17 +99,28 @@ class ModelParams:
             raise ValueError(f"parameter dictionary is missing key {exc}") from None
 
 
-def region_of(r: float, params: ModelParams) -> Region:
-    """Classify a radius into inner / middle / outer.
+def _region_masks(r, params: ModelParams):
+    """Boolean masks (inner, middle, outer) over radii r.
 
     Boundary points belong to the lower region by convention; the branch
     formulas agree there, so either choice would be consistent.  For equal
-    ranges the inner interval is empty and small r reports MIDDLE.
+    ranges the inner interval is empty and small r falls in the middle.
+    """
+    r = np.asarray(r, dtype=float)
+    lower = r <= params.range_sum
+    if params.equal_range:
+        inner = np.zeros(r.shape, dtype=bool)
+    else:
+        inner = r <= params.delta
+    return inner, lower & ~inner, ~lower
+
+
+def region_of(r: float, params: ModelParams) -> Region:
+    """Classify a radius into inner / middle / outer.
+
+    Boundary points belong to the lower region; for equal ranges small r
+    reports MIDDLE (see `_region_masks`, which also serves arrays).
     """
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
-    if r <= params.delta and not params.equal_range:
-        return Region.INNER
-    if r <= params.range_sum:
-        return Region.MIDDLE
-    return Region.OUTER
+    return next(region for region, mask in zip(Region, _region_masks(r, params)) if mask)

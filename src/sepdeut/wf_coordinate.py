@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, Region, region_of
+from .model import ModelParams, Region, _region_masks, region_of
 from .quadrature import differentiate
 from .specfun import (
     _SERIES_CUT,
@@ -193,15 +193,8 @@ def _piecewise(channel: str, r, params: ModelParams):
         raise ValueError("r must be >= 0")
     scalar = ra.ndim == 0
     ra = np.atleast_1d(ra)
-    if params.equal_range:
-        inner = np.zeros(ra.shape, dtype=bool)
-        middle = ra <= params.range_sum
-    else:
-        inner = ra <= params.delta
-        middle = (ra > params.delta) & (ra <= params.range_sum)
-    outer = ~(inner | middle)
     out = np.empty_like(ra)
-    for region, mask in ((Region.INNER, inner), (Region.MIDDLE, middle), (Region.OUTER, outer)):
+    for region, mask in zip(Region, _region_masks(ra, params)):
         if np.any(mask):
             out[mask] = branch_value(channel, region, ra[mask], params)
     return float(out[0]) if scalar else out

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from sepdeut import wf_coordinate
+from sepdeut import cli, wf_coordinate
 from sepdeut.cli import main
-from sepdeut.model import Region
+from sepdeut.model import ModelParams, Region, region_of
+from sepdeut.observables import solve_normalisation
+from sepdeut.quadrature import QuadratureError
+from sepdeut.wf_coordinate import u_coordinate, w_coordinate
+from sepdeut.wf_momentum import form_factor_central, form_factor_tensor, u_momentum, w_momentum
 
 
 def run(argv, capsys):
@@ -80,6 +84,97 @@ def test_momentum_csv(capsys):
     k1 = dict(zip(lines[0].split(","), lines[3].split(",")))
     assert float(k1["g_C"]) == pytest.approx(0.45543285331765678, rel=1e-12)
     assert float(k1["g_T"]) == pytest.approx(0.15420012727958567, rel=1e-12)
+
+
+# (b1, b2, alpha, ratio): default, unequal, near the inner boundary, alpha*b = 0.4
+GOLDEN_POINTS = {
+    "default": (1.475, 1.475, 0.23165, 3.0),
+    "unequal": (1.0, 2.0, 0.23165, 3.0),
+    "near-boundary": (0.8613, 1.0119, 0.4415, 5.268),
+    "alpha-b-0.4": (0.5, 0.5, 0.8, 3.0),
+}
+
+
+def _golden_params(point):
+    b1, b2, alpha, ratio = point
+    A, B = solve_normalisation(b1, alpha, ratio, b2)
+    return ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
+
+
+def _point_flags(point):
+    b1, b2, alpha, ratio = point
+    return ["--b1", repr(b1), "--b2", repr(b2), "--alpha", repr(alpha), "--ratio", repr(ratio)]
+
+
+@pytest.mark.parametrize(
+    "name, r_max, step",
+    [("default", 6.0, 0.05), ("unequal", 6.0, 0.05), ("near-boundary", 3.0, 0.05),
+     ("near-boundary", 0.3, 0.001), ("alpha-b-0.4", 6.0, 0.05)],
+)
+def test_wavefunctions_match_per_row_scalar_evaluation(name, r_max, step, capsys):
+    # the byte contract: the whole-grid columns equal the row-by-row scalar calls
+    point = GOLDEN_POINTS[name]
+    p = _golden_params(point)
+    lines = ["r_fm,u,w,region"]
+    for i in range(round(r_max / step) + 1):
+        r = i * step
+        lines.append(f"{r!r},{u_coordinate(r, p)!r},{w_coordinate(r, p)!r},{region_of(r, p).value}")
+    argv = ["wavefunctions", *_point_flags(point), "--r-max", repr(r_max), "--dr", repr(step)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+    if step == 0.001:  # the fine grid straddles r = b2 - b1
+        assert {"inner", "middle"} <= {line.rsplit(",", 1)[1] for line in lines[1:]}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
+def test_momentum_matches_per_row_scalar_evaluation(name, capsys):
+    point = GOLDEN_POINTS[name]
+    p = _golden_params(point)
+    lines = ["k_inv_fm,g_C,g_T,u_k,w_k"]
+    for i in range(251):
+        k = i * 0.02
+        values = [float(f(k, p)) for f in (form_factor_central, form_factor_tensor, u_momentum, w_momentum)]
+        lines.append(",".join(repr(v) for v in [k, *values]))
+    code, out, _ = run(["momentum", *_point_flags(point)], capsys)
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(cli, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_each_column_is_one_evaluator_call(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ["u_coordinate", "w_coordinate"])
+    assert run(["wavefunctions", "--b1", "1.0", "--b2", "2.0"], capsys)[0] == 0
+    assert calls == {"u_coordinate": 1, "w_coordinate": 1}
+    names = ["form_factor_central", "form_factor_tensor", "u_momentum", "w_momentum"]
+    calls = _count_calls(monkeypatch, names)
+    assert run(["momentum"], capsys)[0] == 0
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_failed_evaluation_writes_no_file(tmp_path, monkeypatch, capsys):
+    def fail(r, p):
+        raise QuadratureError("injected failure")
+
+    monkeypatch.setattr(cli, "u_coordinate", fail)
+    target = tmp_path / "wf.csv"
+    code, out, err = run(["wavefunctions", "--output", str(target)], capsys)
+    assert code == 3
+    assert "injected failure" in err
+    assert not target.exists()
+    assert run(["wavefunctions"], capsys)[1] == ""  # nor a header on stdout
 
 
 @pytest.mark.parametrize(

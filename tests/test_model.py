@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from sepdeut.model import EPS_REGION, ModelParams, Region, region_of
+from sepdeut.model import EPS_REGION, ModelParams, Region, _region_masks, region_of
 
 
 def test_canonical_ordering_swaps_ranges():
@@ -60,6 +61,20 @@ def test_region_monotone_in_r():
     order = {Region.INNER: 0, Region.MIDDLE: 1, Region.OUTER: 2}
     seen = [order[region_of(0.01 * i, p)] for i in range(500)]
     assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("b1, b2", [(1.0, 2.0), (1.475, 1.475), (1.0, 1.0 + 0.5 * EPS_REGION)])
+def test_region_masks_match_scalar_region_of(b1, b2):
+    # a grid holding both boundaries exactly, and the doubles either side of them
+    p = ModelParams(b1=b1, b2=b2, alpha=0.23165, A=1.0, B=1.0)
+    edges = [p.delta, p.range_sum]
+    grid = np.concatenate([np.arange(0, 161) * 0.025, edges,
+                           np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    grid = grid[grid >= 0]
+    masks = _region_masks(grid, p)
+    assert (np.sum(masks, axis=0) == 1).all()
+    labels = np.select(masks, list(Region)).tolist()
+    assert labels == [region_of(r, p) for r in grid.tolist()]
 
 
 def test_region_rejects_bad_radius():
