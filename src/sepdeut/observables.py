@@ -234,7 +234,10 @@ def asymptotic_normalisations(params: ModelParams):
 
 def ds_ratio(params: ModelParams) -> float:
     """eta = A_D / A_S; 0 for a pure S state, error if only A_S vanishes."""
-    A_S, A_D = asymptotic_normalisations(params)
+    return _eta(*asymptotic_normalisations(params))
+
+
+def _eta(A_S: float, A_D: float) -> float:
     if A_S == 0.0:
         if A_D == 0.0:
             return 0.0
@@ -302,7 +305,7 @@ def report(params: ModelParams, *, panel_order: int = 40) -> ObservablesReport:
         P_D=B * B * m.N_D,
         A_S=A_S,
         A_D=A_D,
-        eta=ds_ratio(params),
+        eta=_eta(A_S, A_D),
         r_rms=m.r_rms(A, B),
         Q=m.Q(A, B),
         probability_path=m.path,

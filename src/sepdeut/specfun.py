@@ -15,6 +15,13 @@ leading terms vanish, and hands the surviving coefficients to Horner's
 rule.  The i_l tables come from x^(l+1) i_l(x); j_l reads the same
 tables at -x^2.
 
+`sph_bessel_j` also takes a tuple of orders and returns one row per
+order, sharing a single sin, cos and series/closed split across them;
+a single order is the one-row case of the same code, so each row is
+bit-identical to the single-order call.  The transform oracle evaluates
+j_0 and j_1 of the form factors, and j_0 and j_2 of the transform
+kernel, this way.
+
 All evaluators accept scalars or numpy arrays and return matching shapes.
 """
 
@@ -80,12 +87,13 @@ _I_PIECES = (
 _I_SERIES = tuple(_series_table(p, 2 * l + 1, 8, 2) for l, p in enumerate(_I_PIECES))
 
 
-def _j_closed(l: int, x: np.ndarray) -> np.ndarray:
+def _j_closed(l: int, x: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Closed-form j_l(x) from sin(x) and cos(x); j_0 reads only sin."""
     if l == 0:
-        return np.sin(x) / x
+        return sin / x
     if l == 1:
-        return np.sin(x) / (x * x) - np.cos(x) / x
-    return (3.0 / (x * x * x) - 1.0 / x) * np.sin(x) - 3.0 * np.cos(x) / (x * x)
+        return sin / (x * x) - cos / x
+    return (3.0 / (x * x * x) - 1.0 / x) * sin - 3.0 * cos / (x * x)
 
 
 def _i_closed(l: int, x: np.ndarray) -> np.ndarray:
@@ -118,19 +126,47 @@ def _bessel_series(l: int, x: np.ndarray, sign: float) -> np.ndarray:
     return x**l * _horner(_I_SERIES[l], sign * x * x)
 
 
-def _split_eval(l, x, closed, sign):
+def _checked_argument(x) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("argument must be finite")
     if np.any(xa < 0):
         raise ValueError("argument must be non-negative")
-    out = _split(np.atleast_1d(xa), lambda s: _bessel_series(l, s, sign), lambda s: closed(l, s))
-    return float(out[0]) if xa.ndim == 0 else out
+    return xa
 
 
-def sph_bessel_j(l: int, x):
-    """Spherical Bessel function j_l(x), l in {0, 1, 2}, x >= 0."""
-    return _split_eval(_check_order(l), x, _j_closed, -1.0)
+def _j_orders(orders: tuple, x):
+    """Rows j_l(x) for l in `orders`, sharing one sin, cos and series/closed split."""
+    xa = _checked_argument(x)
+    x1 = np.atleast_1d(xa)
+    small = x1 < _SERIES_CUT
+    out = np.empty((len(orders),) + x1.shape)
+    if np.any(small):
+        s = x1[small]
+        for row, l in zip(out, orders):
+            row[small] = _bessel_series(l, s, -1.0)
+    if not np.all(small):
+        big = ~small
+        c = x1[big]
+        sin = np.sin(c)
+        cos = np.cos(c) if any(orders) else None
+        for row, l in zip(out, orders):
+            row[big] = _j_closed(l, c, sin, cos)
+    return out[:, 0] if xa.ndim == 0 else out
+
+
+def sph_bessel_j(l, x):
+    """Spherical Bessel function j_l(x), l in {0, 1, 2}, x >= 0.
+
+    `l` may also be a tuple of orders: the result then stacks one row
+    per order, shape (len(l),) + shape(x), each element the same double
+    the single-order call gives, from one sin, one cos and one
+    series/closed split shared by all orders.
+    """
+    if isinstance(l, tuple):
+        return _j_orders(tuple(_check_order(m) for m in l), x)
+    out = _j_orders((_check_order(l),), x)[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def mod_sph_bessel_i(l: int, x):
@@ -138,7 +174,10 @@ def mod_sph_bessel_i(l: int, x):
 
     Convention: i0 = sinh(x)/x, so i_l(x) ~ x^l/(2l+1)!! at the origin.
     """
-    return _split_eval(_check_order(l), x, _i_closed, 1.0)
+    _check_order(l)
+    xa = _checked_argument(x)
+    out = _split(np.atleast_1d(xa), lambda s: _bessel_series(l, s, 1.0), lambda s: _i_closed(l, s))
+    return float(out[0]) if xa.ndim == 0 else out
 
 
 def mod_sph_bessel_k(l: int, x):

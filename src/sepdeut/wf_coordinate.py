@@ -115,10 +115,15 @@ def _u_inner(r, p: ModelParams):
     return c * np.sinh(al * np.asarray(r, dtype=float))
 
 
+def _gap(p: ModelParams) -> float:
+    """b2 - b1, or 0 when the ranges count as equal (as in `_region_masks`)."""
+    return 0.0 if p.equal_range else p.delta
+
+
 def _u_middle(r, p: ModelParams):
     al = p.alpha
     x = al * np.asarray(r, dtype=float)
-    cosh_gap = 2.0 * math.sinh(0.5 * al * p.delta) ** 2  # cosh(alpha*delta) - 1
+    cosh_gap = 2.0 * math.sinh(0.5 * al * _gap(p)) ** 2  # cosh(alpha*delta) - 1
     es = math.exp(-al * p.range_sum)
     bracket = -np.expm1(-x) - cosh_gap * np.exp(-x) - es * np.sinh(x)
     return p.A / (2.0 * al * al * p.b1 * p.b2) * bracket
@@ -142,11 +147,13 @@ def _w_middle(r, p: ModelParams):
     al = p.alpha
     x = al * np.asarray(r, dtype=float)
     b1b2 = p.b1 * p.b2
-    y = al * p.delta
+    y = al * _gap(p)
     ab_m1 = al * al * b1b2 - 1.0
     # r-independent coefficients, grouped so near-equal ranges do not
-    # cancel: each piece is explicitly O(y^2) or better where it must be
-    const = 2.0 * (al * p.delta) ** 2 - 8.0 * ab_m1 * math.sinh(0.5 * y) ** 2 - 4.0 * y * math.sinh(y)
+    # cancel: each piece is explicitly O(y^2) or better where it must be.
+    # Ranges equal within EPS_REGION take y = 0, which drops the pole:
+    # r = 0 lies in this region then, where pole / x^2 would divide by 0.
+    const = 2.0 * y**2 - 8.0 * ab_m1 * math.sinh(0.5 * y) ** 2 - 4.0 * y * math.sinh(y)
     pole = 24.0 * y * _sinh_minus(y) + 48.0 * ab_m1 * _sinh_sq_minus(0.5 * y) - 3.0 * y**4
     growth = math.exp(-al * p.range_sum) * (al * al * b1b2 + al * p.range_sum + 1.0)
     bracket = const + x * x + 8.0 * (ab_m1 * math.cosh(y) + y * math.sinh(y)) * _g(x) - 8.0 * growth * _xi2(x)

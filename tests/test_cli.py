@@ -200,6 +200,23 @@ def test_grid_stops_at_its_end(capsys):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.0", "0.6"]
 
 
+def test_ranges_equal_within_eps_region_give_a_finite_origin(capsys):
+    # b2 - b1 = 5e-10 < EPS_REGION: r = 0 is in the middle region, whose
+    # coefficients must then use a zero gap too; r > 0 keeps the values
+    # the nonzero gap gave
+    argv = ["wavefunctions", "--b1", "1.0", "--b2", "1.0000000005", "--alpha", "0.3", "--ratio", "2",
+            "--r-max", "0.1", "--dr", "0.05"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["middle"] * 3
+    assert rows[0][1:3] == ["0.0", "0.0"]
+    gap_values = [(0.037058762283207675, 0.00022104056110828571), (0.07287302225552296, 0.0008817769865390538)]
+    for row, (u, w) in zip(rows[1:], gap_values):
+        assert float(row[1]) == pytest.approx(u, rel=1e-12)
+        assert float(row[2]) == pytest.approx(w, rel=1e-12)
+
+
 def test_fit_command(capsys):
     code, out, _ = run(["fit"], capsys)
     assert code == 0

@@ -9,6 +9,7 @@ from sepdeut.wf_momentum import (
     form_factor_central,
     form_factor_tensor,
     u_momentum,
+    uw_momentum,
     w_momentum,
 )
 
@@ -83,3 +84,13 @@ def test_vectorized_shapes():
     k = np.linspace(0.0, 4.0, 17)
     assert u_momentum(k, CANONICAL).shape == (17,)
     assert w_momentum(k, CANONICAL).shape == (17,)
+
+
+@pytest.mark.parametrize("b1, b2", [(1.475, 1.475), (1.0, 2.0), (1.0, 1.0 + 5e-10)])
+def test_stacked_amplitudes_equal_single_channel_calls(b1, b2):
+    p = ModelParams(b1=b1, b2=b2, alpha=0.23165, A=0.905, B=1.57)
+    k = np.concatenate([[0.0, 1e-3, 0.25, 0.5 / b2, 0.5 / b1], np.linspace(0.6, 2500.0, 201)])
+    u, w = uw_momentum(k, p)
+    assert u.tolist() == u_momentum(k, p).tolist()
+    assert w.tolist() == w_momentum(k, p).tolist()
+    assert uw_momentum(0.7, p).tolist() == [u_momentum(0.7, p), w_momentum(0.7, p)]

@@ -244,3 +244,17 @@ def test_report_evaluates_the_radial_wavefunctions_once(monkeypatch):
         monkeypatch.setattr(obs, name, lambda r, p, fn=fn, name=name: calls.append(name) or fn(r, p))
     report(_solved_params())
     assert sorted(calls) == ["u_coordinate", "w_coordinate"]
+
+
+def test_report_evaluates_the_asymptotic_normalisations_once(monkeypatch):
+    import sepdeut.observables as obs
+
+    p = _solved_params()
+    calls = []
+    fn = obs.mod_sph_bessel_i
+    monkeypatch.setattr(obs, "mod_sph_bessel_i", lambda l, x: calls.append(l) or fn(l, x))
+    rep = report(p)
+    assert sorted(calls) == [0, 0, 1, 1]
+    monkeypatch.undo()
+    assert (rep.A_S, rep.A_D) == asymptotic_normalisations(p)
+    assert rep.eta == ds_ratio(p)

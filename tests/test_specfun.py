@@ -71,7 +71,11 @@ def test_series_and_closed_agree_in_switch_band(l):
     # x = 0.35, losing ~3 digits, so its tolerance is correspondingly looser
     tol = 1e-13 if l < 2 else 5e-12
     x = np.linspace(0.35, 0.65, 61)
-    for closed, sign in ((_j_closed, -1.0), (_i_closed, 1.0)):
+
+    def j_closed(l, x):
+        return _j_closed(l, x, np.sin(x), np.cos(x))
+
+    for closed, sign in ((j_closed, -1.0), (_i_closed, 1.0)):
         a = closed(l, x)
         b = _bessel_series(l, x, sign)
         assert np.max(np.abs(a - b) / np.abs(a)) < tol
@@ -138,6 +142,38 @@ def test_domain_errors():
         mod_sph_bessel_k(1, -1.0)
     with pytest.raises(ValueError):
         sph_bessel_j(3, 1.0)
+
+
+def test_j_is_series_below_the_cut_and_closed_form_from_it():
+    # pins each element to the expression that must produce it, so the
+    # single- and multi-order forms cannot drift together
+    x = np.array([0.0, 0.3, np.nextafter(_SERIES_CUT, 0.0), _SERIES_CUT, np.nextafter(_SERIES_CUT, 1.0), 2.0, 1e3])
+    small = x < _SERIES_CUT
+    for l in (0, 1, 2):
+        got = sph_bessel_j(l, x)
+        assert got[small].tolist() == _bessel_series(l, x[small], -1.0).tolist()
+        big = x[~small]
+        assert got[~small].tolist() == _j_closed(l, big, np.sin(big), np.cos(big)).tolist()
+        two = np.array([2.0])
+        assert sph_bessel_j(l, 2.0) == _j_closed(l, two, np.sin(two), np.cos(two))[0]
+
+
+def test_multi_order_j_equals_single_order_calls():
+    below = np.nextafter(_SERIES_CUT, 0.0)
+    x = np.array([0.0, 1e-3, 0.3, below, _SERIES_CUT, np.nextafter(_SERIES_CUT, 1.0), 0.7, 2.0, 1e3, 3.7e4])
+    for xs in (x, x[4:], x[:4]):  # both paths, closed only, series only
+        stacked = sph_bessel_j((0, 1, 2), xs)
+        assert stacked.shape == (3,) + xs.shape
+        for l, row in enumerate(stacked):
+            assert row.tolist() == sph_bessel_j(l, xs).tolist()
+    assert sph_bessel_j((2, 0), x.reshape(2, 5))[0].tolist() == sph_bessel_j(2, x).reshape(2, 5).tolist()
+    assert sph_bessel_j((0,), x)[0].tolist() == sph_bessel_j(0, x).tolist()
+    for xi in (0.0, below, 2.0):
+        assert sph_bessel_j((0, 1, 2), xi).tolist() == [sph_bessel_j(l, xi) for l in (0, 1, 2)]
+    with pytest.raises(ValueError):
+        sph_bessel_j((0, 3), 1.0)
+    with pytest.raises(ValueError):
+        sph_bessel_j((0, 2), -1.0)
 
 
 def test_scalar_and_array_shapes():

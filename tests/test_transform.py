@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from sepdeut import transform_oracle
 from sepdeut.model import ModelParams, Region, region_of
+from sepdeut.observables import solve_normalisation
+from sepdeut.quadrature import _panel_sums
+from sepdeut.specfun import sph_bessel_j
 from sepdeut.transform_oracle import (
+    _CHUNK_PANELS,
+    DEFAULT_K_MAX,
     DEFAULT_R_GRID,
     TransformConvergenceError,
     bessel_transform,
@@ -80,6 +86,10 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         bessel_transform(1, f, 1.0)  # only l = 0 and l = 2 exist here
     with pytest.raises(ValueError):
+        bessel_transform((0, 1), f, 1.0)
+    with pytest.raises(ValueError):
+        bessel_transform((), f, 1.0)
+    with pytest.raises(ValueError):
         bessel_transform(0, f, 0.0)
     with pytest.raises(ValueError):
         bessel_transform(0, f, 1.0, zero_spacing=-2.0)
@@ -91,3 +101,84 @@ def test_report_covers_requested_grid():
     assert rep.r_grid == (1.0, 4.0)
     assert len(rep.points) == 2
     assert rep.max_abs_dev_u == max(pt.dev_u for pt in rep.points)
+
+
+def _unchunked_transform(l, f, r, spacing):
+    """One channel the way the oracle used to integrate it: every fine
+    panel in one integrand call, single-order j_l, fine cutoff only."""
+    n = max(1, math.ceil(2.0 * DEFAULT_K_MAX / spacing))
+    left = np.linspace(0.0, n * spacing, n + 1)[:-1]
+    half = 0.5 * spacing
+    sums = _panel_sums(lambda k: k * k * np.asarray(f(k), dtype=float) * sph_bessel_j(l, k * r), left, half, 40)
+    return math.sqrt(2.0 / math.pi) * r * (half * math.fsum(sums.tolist()))
+
+
+@pytest.mark.parametrize(
+    "point, radii",
+    [
+        ((1.475, 1.475, 0.23165, 3.0), (0.25, 3.0)),  # the default point
+        ((1.0, 2.0, 0.23165, 3.0), (0.5, 2.0)),  # inner and middle
+        ((0.8613, 1.0119, 0.4415, 5.268), (0.25, 2.0)),  # near b2 - b1; middle and outer
+        ((1.0, 1.0, 0.4, 3.0), (0.5, 2.5)),  # equal ranges, alpha*b < 0.5
+    ],
+)
+def test_stacked_chunked_transform_is_bit_identical_to_per_channel(point, radii, monkeypatch):
+    b1, b2, alpha, ratio = point
+    A, B = solve_normalisation(b1, alpha, ratio, b2)
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
+    got = []
+
+    def recorded(*args, **kwargs):
+        got.append(bessel_transform(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(transform_oracle, "bessel_transform", recorded)
+    rep = validate_transforms(p, r_grid=radii)
+    want = []
+    for r in radii:
+        spacing = math.pi / (r + p.range_sum)
+        want.append((
+            _unchunked_transform(0, lambda k: u_momentum(k, p), r, spacing),
+            _unchunked_transform(2, lambda k: w_momentum(k, p), r, spacing),
+        ))
+    assert got == want
+    for pt, (ur, wr) in zip(rep.points, want):
+        assert pt.region is region_of(pt.r, p)
+        assert pt.dev_u == abs(ur - u_coordinate(pt.r, p))
+        assert pt.dev_w == abs(wr - w_coordinate(pt.r, p))
+
+
+def test_integrand_sees_one_chunk_at_a_time_and_each_node_once():
+    sizes = []
+
+    def f(k):
+        sizes.append(k.size)
+        return np.exp(-k * k)
+
+    spacing = 0.3
+    bessel_transform(0, f, 1.0, zero_spacing=spacing)
+    n_fine = math.ceil(2.0 * DEFAULT_K_MAX / spacing)
+    assert n_fine > 3 * _CHUNK_PANELS
+    assert max(sizes) == _CHUNK_PANELS * 40
+    assert sum(sizes) == n_fine * 40  # the coarse cutoff is not evaluated again
+
+
+def test_stacked_orders_equal_single_order_calls():
+    def rows(k):
+        return np.stack([np.exp(-k * k), k * np.exp(-k)])
+
+    stacked = bessel_transform((0, 2), rows, 1.5, zero_spacing=0.4)
+    single = (
+        bessel_transform(0, lambda k: np.exp(-k * k), 1.5, zero_spacing=0.4),
+        bessel_transform(2, lambda k: k * np.exp(-k), 1.5, zero_spacing=0.4),
+    )
+    assert isinstance(single[0], float)
+    assert stacked == single
+
+
+def test_each_stacked_order_keeps_the_doubling_gate():
+    def rows(k):
+        return np.stack([np.exp(-k * k), 1.0 / (k * k + 1.0)])
+
+    with pytest.raises(TransformConvergenceError, match=r"l = 2\) at r = 1.0 not converged"):
+        bessel_transform((0, 2), rows, 1.0)
