@@ -17,9 +17,7 @@ from .observables import (
     ObservablesReport,
     asymptotic_normalisations,
     ds_ratio,
-    quadrupole_moment,
     report,
-    rms_radius,
     solve_normalisation,
 )
 from .fitting import FitResult, FitTargets, fit_parameters
@@ -36,9 +34,7 @@ __all__ = [
     "asymptotic_normalisations",
     "ds_ratio",
     "fit_parameters",
-    "quadrupole_moment",
     "region_of",
     "report",
-    "rms_radius",
     "solve_normalisation",
 ]

@@ -44,12 +44,9 @@ import numpy as np
 from .fitting import FitTargets, fit_parameters
 from .model import ModelParams, Region, _region_masks
 from .observables import (
-    prob_D_closed,
-    prob_D_coordinate,
-    prob_D_numeric,
-    prob_S_closed,
-    prob_S_coordinate,
-    prob_S_numeric,
+    probabilities_closed,
+    probabilities_coordinate,
+    probabilities_numeric,
     report,
     solve_normalisation,
 )
@@ -79,7 +76,6 @@ def _add_param_options(sub: argparse.ArgumentParser):
     g.add_argument("--ratio", type=float, help=f"(B/A)^2 used when A, B are re-solved (default {DEFAULT_RATIO})")
     g.add_argument("--A", type=float, help="S-channel normalisation; requires --B")
     g.add_argument("--B", type=float, help="D-channel normalisation; requires --A")
-    g.add_argument("--panel-order", type=int, default=40, help="Gauss-Legendre points per panel (default 40)")
 
 
 def _resolve_params(args) -> ModelParams:
@@ -92,8 +88,6 @@ def _resolve_params(args) -> ModelParams:
         raise ValueError("give --A and --B together or neither")
     if args.b1 is not None:
         b1 = args.b1
-        if args.b2 is None and args.params_json is None:
-            b2 = None  # follow b1 below
     if args.b2 is not None:
         b2 = args.b2
     if args.alpha is not None:
@@ -107,7 +101,7 @@ def _resolve_params(args) -> ModelParams:
         A = B = None  # an explicit ratio re-solves even over JSON-supplied A, B
     if A is None:
         ratio = DEFAULT_RATIO if args.ratio is None else args.ratio
-        A, B = solve_normalisation(b1, alpha, ratio, b2, panel_order=args.panel_order)
+        A, B = solve_normalisation(b1, alpha, ratio, b2)
     return ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
 
 
@@ -125,7 +119,7 @@ def _open_out(path):
 
 def cmd_observables(args) -> int:
     p = _resolve_params(args)
-    rep = report(p, panel_order=args.panel_order)
+    rep = report(p)
     payload = {"params": p.to_dict(), "observables": rep.to_dict()}
     with _open_out(args.output) as out:
         if args.table:
@@ -168,6 +162,8 @@ def cmd_wavefunctions(args) -> int:
         overlay_r = np.array([float(row["r_fm"]) for row in overlay_rows])
         if overlay_r.size == 0:
             raise ValueError(f"overlay file {args.overlay!r} has no data rows")
+        if not np.isfinite(overlay_r).all():
+            raise ValueError(f"overlay file {args.overlay!r} has a non-finite r_fm")
     columns = [_reprs(grid), _reprs(u_coordinate(grid, p)), _reprs(w_coordinate(grid, p))]
     columns.append(np.select(_region_masks(grid, p), [reg.value for reg in Region], default="").tolist())
     if overlay_fields:
@@ -196,7 +192,7 @@ def cmd_momentum(args) -> int:
 def cmd_fit(args) -> int:
     targets = FitTargets(r_rms=args.target_rrms, Q=args.target_q)
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-    result = fit_parameters(targets, alpha, panel_order=args.panel_order)
+    result = fit_parameters(targets, alpha)
     payload = {
         "b_fm": result.b,
         "ratio": result.ratio,
@@ -238,21 +234,20 @@ def cmd_validate(args) -> int:
             db = deriv(r0, p, hi)
             checks.append((f"derivative {channel} at r={r0:.6g}", _rel(da, db), 1e-8))
 
-    trep = validate_transforms(p, panel_order=args.panel_order)
+    trep = validate_transforms(p)
     checks.append(("transform u, max over r grid", trep.max_abs_dev_u, 1e-7))
     checks.append(("transform w, max over r grid", trep.max_abs_dev_w, 1e-7))
 
-    pS_k = prob_S_numeric(p, panel_order=args.panel_order)
-    pD_k = prob_D_numeric(p, panel_order=args.panel_order)
-    pS_r = prob_S_coordinate(p, panel_order=args.panel_order)
-    pD_r = prob_D_coordinate(p, panel_order=args.panel_order)
+    pS_k, pD_k = probabilities_numeric(p)
+    pS_r, pD_r = probabilities_coordinate(p)
     checks.append(("Parseval S (k-space vs r-space norm)", abs(pS_k - pS_r), 1e-7))
     checks.append(("Parseval D (k-space vs r-space norm)", abs(pD_k - pD_r), 1e-7))
 
     lines = []
     if p.equal_range:
-        checks.append(("closed vs numeric P_S", _rel(prob_S_closed(p), pS_k), 1e-8))
-        checks.append(("closed vs numeric P_D", _rel(prob_D_closed(p), pD_k), 1e-6))
+        pS_c, pD_c = probabilities_closed(p)
+        checks.append(("closed vs numeric P_S", _rel(pS_c, pS_k), 1e-8))
+        checks.append(("closed vs numeric P_D", _rel(pD_c, pD_k), 1e-6))
     else:
         lines.append("closed vs numeric probabilities: skipped (unequal ranges)")
 
@@ -301,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--target-rrms", type=float, default=2.08, help="target rms radius in fm (default 2.08)")
     p_fit.add_argument("--target-q", type=float, default=0.286, help="target quadrupole moment in fm^2 (default 0.286)")
     p_fit.add_argument("--alpha", type=float, help=f"bound-state wavenumber (default {DEFAULT_ALPHA})")
-    p_fit.add_argument("--panel-order", type=int, default=40, help="Gauss-Legendre points per panel (default 40)")
     p_fit.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -20,11 +20,13 @@ so the root returned is the one with the smallest ratio.  A sign change of
 h is refined by safeguarded secant steps; an edge cell without one is
 bisected, at most `_EDGE_DEPTH` times.
 
-`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`.  No
-start is needed: `initial` is accepted and ignored, and the CLI has no
-start flags (`--start-b`, `--start-ratio`).  With no root, converged =
-False is returned at the evaluated point of smallest residual norm (ratio
-clipped at 0): the scan bracketed none.
+A root is a point whose residual norm is at most `TOLERANCE`, and
+`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`; both
+are fixed, like the panel order of the moments.  No start is needed:
+`initial` is accepted and ignored, and the CLI has no start flags
+(`--start-b`, `--start-ratio`).  With no root, converged = False is
+returned at the evaluated point of smallest residual norm (ratio clipped
+at 0): the scan bracketed none.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ from .observables import _moments, solve_normalisation
 _SCAN = tuple(0.1 * i for i in range(1, 21))
 #: bisections of an edge cell that shows no sign change of h
 _EDGE_DEPTH = 3
+#: residual norm a root must reach
+TOLERANCE = 1e-6
 #: moment evaluations a fit may make: the scan, then 60 for edge
 #: bisections and root refinement together
 MAX_EVALUATIONS = len(_SCAN) + 60
-# refinement stops once the residual norm is this far below tolerance
+# refinement stops once the residual norm is this far below TOLERANCE
 _REFINE_MARGIN = 1e-4
 
 
@@ -97,14 +101,7 @@ def _changes(p: _Point, q: _Point, field: str) -> bool:
     return (getattr(p, field) < 0) != (getattr(q, field) < 0)
 
 
-def fit_parameters(
-    targets: FitTargets,
-    alpha: float,
-    initial=(1.2, 2.0),
-    *,
-    tolerance: float = 1e-6,
-    panel_order: int = 40,
-) -> FitResult:
+def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> FitResult:
     """Solve r_rms(b, ratio) = target, Q(b, ratio) = target.
 
     Returns the root with the smallest ratio; `initial` is ignored.
@@ -117,7 +114,7 @@ def fit_parameters(
     evaluated: list[_Point] = []
 
     def point(b: float) -> _Point:
-        m = _moments(b, b, alpha, panel_order)
+        m = _moments(b, b, alpha)
         num = r2 * m.N_S - m.R_S
         den = m.R_D - r2 * m.N_D
         rho = num / den if den != 0 else -math.inf
@@ -137,7 +134,7 @@ def fit_parameters(
         best = min(lo, hi, key=lambda p: p.norm)
         prev, cur, other = lo, hi, lo  # h(cur) and h(other) differ in sign
         step = before = math.inf
-        while best.norm > _REFINE_MARGIN * tolerance and len(evaluated) < MAX_EVALUATIONS:
+        while best.norm > _REFINE_MARGIN * TOLERANCE and len(evaluated) < MAX_EVALUATIONS:
             if not _changes(cur, other, "h"):
                 other = prev
             if abs(other.h) < abs(cur.h):
@@ -175,7 +172,7 @@ def fit_parameters(
             break
         if _changes(p, q, "h"):
             found = refine(p, q)
-            if found.norm <= tolerance and (root is None or found.ratio < root.ratio):
+            if found.norm <= TOLERANCE and (root is None or found.ratio < root.ratio):
                 root = found
         elif depth < _EDGE_DEPTH:
             mid = point(0.5 * (p.b + q.b))
@@ -183,6 +180,6 @@ def fit_parameters(
             consider(mid, q, depth + 1)
 
     best = root if root is not None else min(evaluated, key=lambda p: p.norm)
-    A, B = solve_normalisation(best.b, alpha, best.ratio, panel_order=panel_order)
+    A, B = solve_normalisation(best.b, alpha, best.ratio)
     return FitResult(b=best.b, ratio=best.ratio, A=A, B=B, residual_norm=best.norm,
-                     iterations=len(evaluated), converged=best.norm <= tolerance)
+                     iterations=len(evaluated), converged=best.norm <= TOLERANCE)

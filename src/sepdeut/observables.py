@@ -11,11 +11,18 @@ exact rationals and asserts the leading-term cancellation, guarding
 both against transcription slips.
 
 Unequal ranges take the quadrature path over the momentum-space
-wavefunctions (smooth, k^-6 decay).  The rms radius and quadrupole moment
-come from three radial moments of the coordinate-space branches at unit
-strengths, integrated together; with the two norm integrals they form
-one moment record, over which every observable is a quadratic form in
-the strengths (A, B).
+wavefunctions (smooth, k^-6 decay).  Each path is one function returning
+(P_S, P_D): `probabilities_closed`, `probabilities_numeric` and its
+Parseval partner over the coordinate-space branches,
+`probabilities_coordinate`; a quadrature path integrates both channels
+in one call.
+
+The rms radius and quadrupole moment come from three radial moments of
+the coordinate-space branches at unit strengths, integrated together;
+with the two norm integrals they form one moment record, over which
+every observable is a quadratic form in the strengths (A, B).  `report`
+is their one entry point.  Every quadrature runs at the package's one
+panel order, `quadrature.PANEL_ORDER`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .model import ModelParams
 from .quadrature import integrate_panels, momentum_scheme, radial_scheme
 from .specfun import _horner, _series_table, mod_sph_bessel_i
 from .wf_coordinate import u_coordinate, w_coordinate
-from .wf_momentum import u_momentum, w_momentum
+from .wf_momentum import uw_momentum
 
 # Below these values of x = alpha*b the closed brackets lose more than
 # half their digits to cancellation and the series takes over.  Measured
@@ -84,58 +91,40 @@ def _pD_bracket(x: float) -> float:
     )
 
 
-def _require_equal_range(params: ModelParams, what: str):
+def probabilities_closed(params: ModelParams):
+    """(P_S, P_D), closed forms; equal ranges only."""
     if not params.equal_range:
-        raise ValueError(f"{what} has a closed form only for equal ranges (b1 == b2)")
-
-
-def prob_S_closed(params: ModelParams) -> float:
-    """S-channel norm integral, closed form; equal ranges only."""
-    _require_equal_range(params, "prob_S_closed")
+        raise ValueError("probabilities_closed has a closed form only for equal ranges (b1 == b2)")
     al, b = params.alpha, params.b1
-    return params.A**2 / (16.0 * al**5 * b**4) * _pS_bracket(al * b)
+    return (
+        params.A**2 / (16.0 * al**5 * b**4) * _pS_bracket(al * b),
+        params.B**2 / (240.0 * al**9 * b**8) * _pD_bracket(al * b),
+    )
 
 
-def prob_D_closed(params: ModelParams) -> float:
-    """D-channel norm integral, closed form; equal ranges only."""
-    _require_equal_range(params, "prob_D_closed")
-    al, b = params.alpha, params.b1
-    return params.B**2 / (240.0 * al**9 * b**8) * _pD_bracket(al * b)
+def probabilities_numeric(params: ModelParams):
+    """(P_S, P_D) over k^2 u(k)^2 and k^2 w(k)^2; any ranges."""
+
+    def f(k):
+        return k * k * uw_momentum(k, params) ** 2
+
+    return tuple(integrate_panels(f, momentum_scheme(params)).tolist())
 
 
-def prob_S_numeric(params: ModelParams, *, panel_order: int = 40) -> float:
-    """S-channel norm integral over k^2 u(k)^2; any ranges."""
-    scheme = momentum_scheme(params, panel_order=panel_order)
-    return integrate_panels(lambda k: k * k * u_momentum(k, params) ** 2, scheme)
+def probabilities_coordinate(params: ModelParams):
+    """(P_S, P_D) over u(r)^2 and w(r)^2 (Parseval partner of the k form)."""
+
+    def f(r):
+        return np.stack([u_coordinate(r, params) ** 2, w_coordinate(r, params) ** 2])
+
+    return tuple(integrate_panels(f, radial_scheme(params)).tolist())
 
 
-def prob_D_numeric(params: ModelParams, *, panel_order: int = 40) -> float:
-    """D-channel norm integral over k^2 w(k)^2; any ranges."""
-    scheme = momentum_scheme(params, panel_order=panel_order)
-    return integrate_panels(lambda k: k * k * w_momentum(k, params) ** 2, scheme)
-
-
-def prob_S_coordinate(params: ModelParams, *, panel_order: int = 40) -> float:
-    """S-channel norm integral over u(r)^2 (Parseval partner of the k form)."""
-    scheme = radial_scheme(params, panel_order=panel_order)
-    return integrate_panels(lambda r: u_coordinate(r, params) ** 2, scheme)
-
-
-def prob_D_coordinate(params: ModelParams, *, panel_order: int = 40) -> float:
-    """D-channel norm integral over w(r)^2 (Parseval partner of the k form)."""
-    scheme = radial_scheme(params, panel_order=panel_order)
-    return integrate_panels(lambda r: w_coordinate(r, params) ** 2, scheme)
-
-
-def _probabilities(params: ModelParams, *, panel_order: int = 40):
+def _probabilities(params: ModelParams):
     """(P_S, P_D, path) for the current A, B; closed path when available."""
     if params.equal_range:
-        return prob_S_closed(params), prob_D_closed(params), "closed"
-    return (
-        prob_S_numeric(params, panel_order=panel_order),
-        prob_D_numeric(params, panel_order=panel_order),
-        "numeric",
-    )
+        return (*probabilities_closed(params), "closed")
+    return (*probabilities_numeric(params), "numeric")
 
 
 def _strengths(N_S: float, N_D: float, ratio: float):
@@ -152,8 +141,6 @@ def solve_normalisation(
     alpha: float,
     ratio: float,
     b2: float | None = None,
-    *,
-    panel_order: int = 40,
 ):
     """A, B making P_S + P_D = 1 at a prescribed ratio = (B/A)^2.
 
@@ -164,11 +151,11 @@ def solve_normalisation(
     if not ratio >= 0:
         raise ValueError(f"ratio must be >= 0, got {ratio!r}")
     unit = ModelParams(b1=b1, b2=b1 if b2 is None else b2, alpha=alpha, A=1.0, B=1.0)
-    N_S, N_D, _ = _probabilities(unit, panel_order=panel_order)
+    N_S, N_D, _ = _probabilities(unit)
     return _strengths(N_S, N_D, ratio)
 
 
-def _rms_core(unit: ModelParams, panel_order: int) -> np.ndarray:
+def _rms_core(unit: ModelParams) -> np.ndarray:
     """Radial moments (R_S, R_D, X) = integrals of r^2 (u^2, w^2, u w).
 
     `unit` carries A = B = 1.  One integrand call evaluates u and w once
@@ -181,12 +168,12 @@ def _rms_core(unit: ModelParams, panel_order: int) -> np.ndarray:
         r2 = r * r
         return np.stack([r2 * u * u, r2 * w * w, r2 * u * w])
 
-    return integrate_panels(f, radial_scheme(unit, panel_order=panel_order))
+    return integrate_panels(f, radial_scheme(unit))
 
 
 @dataclass(frozen=True)
 class _Moments:
-    """Unit-strength (A = B = 1) moments at one (b1, b2, alpha, panel_order).
+    """Unit-strength (A = B = 1) moments at one (b1, b2, alpha).
 
     u is proportional to A and w to B, so every observable is a quadratic
     form in the strengths over these five numbers:
@@ -213,10 +200,10 @@ class _Moments:
         return (math.sqrt(8.0) * A * B * self.X - B * B * self.R_D) / 20.0
 
 
-def _moments(b1: float, b2: float, alpha: float, panel_order: int) -> _Moments:
+def _moments(b1: float, b2: float, alpha: float) -> _Moments:
     unit = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
-    N_S, N_D, path = _probabilities(unit, panel_order=panel_order)
-    R_S, R_D, X = _rms_core(unit, panel_order)
+    N_S, N_D, path = _probabilities(unit)
+    R_S, R_D, X = _rms_core(unit)
     return _Moments(N_S, N_D, float(R_S), float(R_D), float(X), path)
 
 
@@ -245,30 +232,6 @@ def _eta(A_S: float, A_D: float) -> float:
     return A_D / A_S
 
 
-def _normalised_moments(params: ModelParams, panel_order: int) -> _Moments:
-    """The moment record at params' ranges, warning if A, B miss a unit norm."""
-    m = _moments(params.b1, params.b2, params.alpha, panel_order)
-    total = params.A**2 * m.N_S + params.B**2 * m.N_D
-    if abs(total - 1.0) > _NORMALISATION_WARN_TOL:
-        warnings.warn(
-            f"wavefunction is not normalised: P_S + P_D = {total:.6f}; "
-            f"r_rms and Q assume a unit norm",
-            UserWarning,
-            stacklevel=3,
-        )
-    return m
-
-
-def rms_radius(params: ModelParams, *, panel_order: int = 40) -> float:
-    """Point-nucleon rms half-separation (fm); assumes unit norm (warns if not)."""
-    return _normalised_moments(params, panel_order).r_rms(params.A, params.B)
-
-
-def quadrupole_moment(params: ModelParams, *, panel_order: int = 40) -> float:
-    """Quadrupole moment (fm^2); assumes unit norm (warns if not)."""
-    return _normalised_moments(params, panel_order).Q(params.A, params.B)
-
-
 @dataclass(frozen=True)
 class ObservablesReport:
     """Bound-state observable set for one parameter point."""
@@ -295,10 +258,19 @@ class ObservablesReport:
         }
 
 
-def report(params: ModelParams, *, panel_order: int = 40) -> ObservablesReport:
-    """All observables at once, warning once if the norm is off."""
-    m = _normalised_moments(params, panel_order)
+def report(params: ModelParams) -> ObservablesReport:
+    """All observables at once; r_rms and Q assume a unit norm, and a
+    UserWarning says so once when A, B miss it."""
+    m = _moments(params.b1, params.b2, params.alpha)
     A, B = params.A, params.B
+    total = A**2 * m.N_S + B**2 * m.N_D
+    if abs(total - 1.0) > _NORMALISATION_WARN_TOL:
+        warnings.warn(
+            f"wavefunction is not normalised: P_S + P_D = {total:.6f}; "
+            f"r_rms and Q assume a unit norm",
+            UserWarning,
+            stacklevel=2,
+        )
     A_S, A_D = asymptotic_normalisations(params)
     return ObservablesReport(
         P_S=A * A * m.N_S,

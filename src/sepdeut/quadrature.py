@@ -24,6 +24,9 @@ import numpy as np
 
 from .model import EPS_REGION, ModelParams
 
+#: Gauss-Legendre points per panel of every scheme this package builds
+PANEL_ORDER = 40
+
 # k-space cutoff (fm^-1) of the probability integrals
 _K_MAX = 80.0
 
@@ -117,7 +120,7 @@ def differentiate(f, x: float, h0: float = 1e-3) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def radial_scheme(params: ModelParams, *, panel_order: int = 40) -> QuadratureScheme:
+def radial_scheme(params: ModelParams) -> QuadratureScheme:
     """Panels for semi-infinite r-space observable integrals.
 
     Breakpoints at the region boundaries (piecewise-analytic integrands),
@@ -131,10 +134,10 @@ def radial_scheme(params: ModelParams, *, panel_order: int = 40) -> QuadratureSc
     pts.append(params.range_sum)
     width = 1.0 / params.alpha
     pts.extend(params.range_sum + i * width for i in range(1, 41))
-    return QuadratureScheme(panel_order=panel_order, breakpoints=tuple(pts))
+    return QuadratureScheme(PANEL_ORDER, tuple(pts))
 
 
-def momentum_scheme(params: ModelParams, *, panel_order: int = 40) -> QuadratureScheme:
+def momentum_scheme(params: ModelParams) -> QuadratureScheme:
     """Panels for k-space probability integrals.
 
     Breakpoints at the form-factor zeros k = n*pi/max(b1, b2), with two
@@ -154,4 +157,4 @@ def momentum_scheme(params: ModelParams, *, panel_order: int = 40) -> Quadrature
             pts.append(n * spacing)
         n += 1
     pts.append(_K_MAX)
-    return QuadratureScheme(panel_order=panel_order, breakpoints=tuple(pts))
+    return QuadratureScheme(PANEL_ORDER, tuple(pts))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, Region, region_of
-from .quadrature import _panel_sums
+from .quadrature import PANEL_ORDER, _panel_sums
 from .specfun import sph_bessel_j
 from .wf_coordinate import u_coordinate, w_coordinate
 from .wf_momentum import uw_momentum
@@ -79,7 +79,7 @@ def bessel_transform(
     *,
     zero_spacing: float | None = None,
     k_max: float = DEFAULT_K_MAX,
-    panel_order: int = 40,
+    panel_order: int = PANEL_ORDER,
     convergence_tol: float = 1e-8,
 ):
     """sqrt(2/pi) * r * Integral_0^inf k^2 f(k) j_l(k r) dk, l in {0, 2}.
@@ -137,13 +137,7 @@ def bessel_transform(
     return tuple(values) if isinstance(l, tuple) else values[0]
 
 
-def validate_transforms(
-    params: ModelParams,
-    r_grid=DEFAULT_R_GRID,
-    *,
-    k_max: float = DEFAULT_K_MAX,
-    panel_order: int = 40,
-) -> TransformReport:
+def validate_transforms(params: ModelParams, r_grid=DEFAULT_R_GRID) -> TransformReport:
     """Compare the piecewise u, w against the direct transform on a grid.
 
     r = 0 is excluded by construction (the transform carries an explicit
@@ -154,10 +148,7 @@ def validate_transforms(
     spacing_scale = params.range_sum
     for r in r_grid:
         spacing = math.pi / (r + spacing_scale)
-        ur, wr = bessel_transform(
-            (0, 2), lambda k: uw_momentum(k, params), r,
-            zero_spacing=spacing, k_max=k_max, panel_order=panel_order,
-        )
+        ur, wr = bessel_transform((0, 2), lambda k: uw_momentum(k, params), r, zero_spacing=spacing)
         points.append(
             TransformPoint(
                 r=float(r),

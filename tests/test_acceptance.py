@@ -16,16 +16,13 @@ from sepdeut.model import ModelParams, Region
 from sepdeut.observables import (
     asymptotic_normalisations,
     ds_ratio,
-    prob_D_closed,
-    prob_D_coordinate,
-    prob_D_numeric,
-    prob_S_closed,
-    prob_S_coordinate,
-    prob_S_numeric,
-    quadrupole_moment,
-    rms_radius,
+    probabilities_closed,
+    probabilities_coordinate,
+    probabilities_numeric,
+    report,
     solve_normalisation,
 )
+from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, radial_scheme
 from sepdeut.transform_oracle import validate_transforms
 from sepdeut.wf_coordinate import branch_value, du_dr, dw_dr, u_coordinate, w_coordinate
 
@@ -52,8 +49,8 @@ def test_criterion_1_normalisation_reproduction():
 
 def test_criterion_2_probabilities():
     p = _solved_params()
-    ps_c, pd_c = prob_S_closed(p), prob_D_closed(p)
-    ps_n, pd_n = prob_S_numeric(p), prob_D_numeric(p)
+    ps_c, pd_c = probabilities_closed(p)
+    ps_n, pd_n = probabilities_numeric(p)
     ok = (
         abs(ps_c - 0.96) <= 0.005
         and abs(pd_c - 0.04) <= 0.005
@@ -77,9 +74,18 @@ def test_criterion_3_asymptotics():
 
 
 def test_criterion_4_observables_stable_under_doubling():
+    # report against r_rms and Q integrated directly on its panels at twice the order
     p = _solved_params()
-    r1, r2 = rms_radius(p, panel_order=40), rms_radius(p, panel_order=80)
-    q1, q2 = quadrupole_moment(p, panel_order=40), quadrupole_moment(p, panel_order=80)
+    rep = report(p)
+    r1, q1 = rep.r_rms, rep.Q
+    doubled = QuadratureScheme(2 * PANEL_ORDER, radial_scheme(p).breakpoints)
+
+    def integrands(r):
+        u, w = u_coordinate(r, p), w_coordinate(r, p)
+        return np.stack([r * r * (u * u + w * w), r * r * w * (math.sqrt(8.0) * u - w)])
+
+    r2_moment, q_moment = integrate_panels(integrands, doubled)
+    r2, q2 = 0.5 * math.sqrt(r2_moment), q_moment / 20.0
     ok = (
         abs(r1 - 2.08) <= 0.01
         and abs(q1 - 0.286) <= 0.002
@@ -153,13 +159,9 @@ def test_criterion_8_parseval_and_norm():
     worst = 0.0
     for b1, b2 in RANGE_PAIRS:
         p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=0.9, B=1.5)
-        worst = max(
-            worst,
-            abs(prob_S_numeric(p) - prob_S_coordinate(p)),
-            abs(prob_D_numeric(p) - prob_D_coordinate(p)),
-        )
-    p = _solved_params()
-    total = prob_S_closed(p) + prob_D_closed(p)
+        (ps_k, pd_k), (ps_r, pd_r) = probabilities_numeric(p), probabilities_coordinate(p)
+        worst = max(worst, abs(ps_k - ps_r), abs(pd_k - pd_r))
+    total = sum(probabilities_closed(_solved_params()))
     ok = worst <= 1e-7 and abs(total - 1.0) <= 1e-10
     _verdict(
         8,

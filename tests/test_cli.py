@@ -75,6 +75,18 @@ def test_wavefunctions_overlay(tmp_path, capsys):
     assert row[1] == row[4] and row[2] == row[5]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_overlay_rejects_nonfinite_r(bad, tmp_path, capsys):
+    # a NaN r_fm would win every nearest-row lookup and merge into all rows
+    ref = tmp_path / "ref.csv"
+    ref.write_text(f"r_fm,label\n0.0,a\n{bad},b\n1.0,c\n")
+    target = tmp_path / "merged.csv"
+    code, out, err = run(["wavefunctions", "--overlay", str(ref), "--output", str(target)], capsys)
+    assert code == 2
+    assert str(ref) in err and "non-finite" in err
+    assert not target.exists()
+
+
 def test_momentum_csv(capsys):
     code, out, _ = run(["momentum", "--dk", "0.5", "--k-max", "2.0"], capsys)
     assert code == 0
@@ -286,6 +298,12 @@ def test_bad_arguments_exit_2(capsys):
     assert run(["observables", "--A", "1.0"], capsys)[0] == 2       # missing --B
     assert run(["observables", "--b1", "-2.0"], capsys)[0] == 2
     assert run(["no-such-command"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("command", ["observables", "wavefunctions", "momentum", "validate", "fit"])
+def test_panel_order_is_not_an_option(command, capsys):
+    # every quadrature runs at the one fixed panel order
+    assert run([command, "--panel-order", "40"], capsys)[0] == 2
 
 
 def test_malformed_params_json_exit_2(tmp_path, capsys):

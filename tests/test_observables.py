@@ -9,19 +9,15 @@ from sepdeut.observables import (
     ObservablesReport,
     asymptotic_normalisations,
     ds_ratio,
-    prob_D_closed,
-    prob_D_coordinate,
-    prob_D_numeric,
-    prob_S_closed,
-    prob_S_coordinate,
-    prob_S_numeric,
-    quadrupole_moment,
+    probabilities_closed,
+    probabilities_coordinate,
+    probabilities_numeric,
     report,
-    rms_radius,
     solve_normalisation,
 )
-from sepdeut.quadrature import integrate_panels, radial_scheme
+from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, momentum_scheme, radial_scheme
 from sepdeut.wf_coordinate import u_coordinate, w_coordinate
+from sepdeut.wf_momentum import u_momentum, w_momentum
 
 ALPHA = 0.23165
 B_RANGE = 1.475
@@ -52,17 +48,31 @@ def _solved_params():
 
 
 def test_closed_probabilities_frozen():
-    p = _unit_params()
-    assert prob_S_closed(p) == pytest.approx(PS_UNIT, rel=1e-13)
-    assert prob_D_closed(p) == pytest.approx(PD_UNIT, rel=1e-13)
+    ps, pd = probabilities_closed(_unit_params())
+    assert ps == pytest.approx(PS_UNIT, rel=1e-13)
+    assert pd == pytest.approx(PD_UNIT, rel=1e-13)
 
 
 def test_closed_rejects_unequal_ranges():
     p = ModelParams(b1=1.0, b2=2.0, alpha=ALPHA, A=1.0, B=1.0)
     with pytest.raises(ValueError, match="equal ranges"):
-        prob_S_closed(p)
-    with pytest.raises(ValueError, match="equal ranges"):
-        prob_D_closed(p)
+        probabilities_closed(p)
+
+
+@pytest.mark.parametrize("b1, b2", [(B_RANGE, B_RANGE), (1.0, 2.0)])
+def test_quadrature_pairs_equal_per_channel_integrals(b1, b2):
+    # one stacked integral per path sums each channel exactly as its own
+    # one-row integral does
+    p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=0.9, B=1.5)
+    k_scheme, r_scheme = momentum_scheme(p), radial_scheme(p)
+    assert probabilities_numeric(p) == (
+        integrate_panels(lambda k: k * k * u_momentum(k, p) ** 2, k_scheme),
+        integrate_panels(lambda k: k * k * w_momentum(k, p) ** 2, k_scheme),
+    )
+    assert probabilities_coordinate(p) == (
+        integrate_panels(lambda r: u_coordinate(r, p) ** 2, r_scheme),
+        integrate_panels(lambda r: w_coordinate(r, p) ** 2, r_scheme),
+    )
 
 
 @pytest.mark.parametrize("x", [0.2, 0.29, 0.31, 0.44, 0.46, 1.0, 2.0])
@@ -70,8 +80,8 @@ def test_closed_vs_numeric_across_bracket_regimes(x):
     # x = alpha*b sweeps across both series/direct switch points
     b = x / ALPHA
     p = ModelParams(b1=b, b2=b, alpha=ALPHA, A=1.0, B=1.0)
-    ps_c, ps_n = prob_S_closed(p), prob_S_numeric(p)
-    pd_c, pd_n = prob_D_closed(p), prob_D_numeric(p)
+    ps_c, pd_c = probabilities_closed(p)
+    ps_n, pd_n = probabilities_numeric(p)
     assert abs(ps_c - ps_n) / ps_c < 1e-8
     assert abs(pd_c - pd_n) / pd_c < 1e-6
 
@@ -79,8 +89,9 @@ def test_closed_vs_numeric_across_bracket_regimes(x):
 def test_momentum_and_coordinate_norms_agree():
     for b1, b2 in [(B_RANGE, B_RANGE), (1.0, 2.0), (0.8, 1.1)]:
         p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=0.9, B=1.5)
-        assert abs(prob_S_numeric(p) - prob_S_coordinate(p)) < 1e-7
-        assert abs(prob_D_numeric(p) - prob_D_coordinate(p)) < 1e-7
+        (ps_k, pd_k), (ps_r, pd_r) = probabilities_numeric(p), probabilities_coordinate(p)
+        assert abs(ps_k - ps_r) < 1e-7
+        assert abs(pd_k - pd_r) < 1e-7
 
 
 def test_solve_normalisation_frozen():
@@ -99,7 +110,7 @@ def test_solve_normalisation_pure_s():
 def test_solve_normalisation_unequal_ranges():
     A, B = solve_normalisation(1.0, ALPHA, 2.0, 2.0)
     p = ModelParams(b1=1.0, b2=2.0, alpha=ALPHA, A=A, B=B)
-    total = prob_S_numeric(p) + prob_D_numeric(p)
+    total = sum(probabilities_numeric(p))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -110,14 +121,15 @@ def test_solve_normalisation_rejects_negative_ratio():
 
 def test_probability_sum_after_normalisation():
     p = _solved_params()
-    assert prob_S_closed(p) + prob_D_closed(p) == pytest.approx(1.0, abs=1e-10)
+    assert sum(probabilities_closed(p)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_probability_scaling_is_quadratic():
     p1 = _unit_params()
     p2 = ModelParams(b1=B_RANGE, b2=B_RANGE, alpha=ALPHA, A=3.0, B=0.5)
-    assert prob_S_closed(p2) == pytest.approx(9.0 * prob_S_closed(p1), rel=1e-14)
-    assert prob_D_closed(p2) == pytest.approx(0.25 * prob_D_closed(p1), rel=1e-14)
+    (ps1, pd1), (ps2, pd2) = probabilities_closed(p1), probabilities_closed(p2)
+    assert ps2 == pytest.approx(9.0 * ps1, rel=1e-14)
+    assert pd2 == pytest.approx(0.25 * pd1, rel=1e-14)
 
 
 def test_asymptotics_frozen():
@@ -147,14 +159,9 @@ def test_rms_and_q_frozen():
     p = _solved_params()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rms_radius(p) == pytest.approx(R_RMS_STAR, rel=1e-12)
-        assert quadrupole_moment(p) == pytest.approx(Q_STAR, rel=1e-12)
-
-
-def test_rms_and_q_panel_doubling():
-    p = _solved_params()
-    assert abs(rms_radius(p, panel_order=40) - rms_radius(p, panel_order=80)) < 1e-9
-    assert abs(quadrupole_moment(p, panel_order=40) - quadrupole_moment(p, panel_order=80)) < 1e-9
+        rep = report(p)
+    assert rep.r_rms == pytest.approx(R_RMS_STAR, rel=1e-12)
+    assert rep.Q == pytest.approx(Q_STAR, rel=1e-12)
 
 
 def test_three_figure_strengths_do_not_warn():
@@ -162,15 +169,12 @@ def test_three_figure_strengths_do_not_warn():
     p = ModelParams(b1=B_RANGE, b2=B_RANGE, alpha=ALPHA, A=0.905, B=1.57)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rms_radius(p)
+        report(p)
 
 
 def test_unit_strengths_warn():
-    p = _unit_params()
     with pytest.warns(UserWarning, match="not normalised"):
-        rms_radius(p)
-    with pytest.warns(UserWarning, match="not normalised"):
-        quadrupole_moment(p)
+        report(_unit_params())
 
 
 def test_report_closed_path():
@@ -217,22 +221,30 @@ def test_report_warns_once_when_unnormalised():
 @pytest.mark.parametrize("normalised", [True, False])
 def test_quadratic_form_matches_direct_integrals(b1, b2, normalised):
     # report reads r_rms and Q off the unit-strength moments; integrate
-    # the observables directly from u and w at the actual strengths
+    # the observables directly from u and w at the actual strengths, on
+    # report's own panels and on the same panels at twice the order
     A, B = solve_normalisation(b1, ALPHA, 3.0, b2) if normalised else (1.0, 1.0)
     p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=A, B=B)
-    scheme = radial_scheme(p)
-    r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), scheme)
 
-    def q_integrand(r):
-        w = w_coordinate(r, p)
-        return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+    def direct(scheme):
+        r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), scheme)
 
-    q = integrate_panels(q_integrand, scheme) / 20.0
+        def q_integrand(r):
+            w = w_coordinate(r, p)
+            return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+
+        return 0.5 * math.sqrt(r2), integrate_panels(q_integrand, scheme) / 20.0
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = report(p)
-    assert rep.r_rms == pytest.approx(0.5 * math.sqrt(r2), rel=1e-13)
+    scheme = radial_scheme(p)
+    r_rms, q = direct(scheme)
+    assert rep.r_rms == pytest.approx(r_rms, rel=1e-13)
     assert rep.Q == pytest.approx(q, rel=1e-13)
+    r_rms, q = direct(QuadratureScheme(2 * PANEL_ORDER, scheme.breakpoints))
+    assert abs(rep.r_rms - r_rms) < 1e-9
+    assert abs(rep.Q - q) < 1e-9
 
 
 def test_report_evaluates_the_radial_wavefunctions_once(monkeypatch):
