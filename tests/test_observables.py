@@ -164,6 +164,24 @@ def test_rms_and_q_frozen():
     assert rep.Q == pytest.approx(Q_STAR, rel=1e-12)
 
 
+def test_rms_and_q_panel_doubling():
+    # report's r_rms and Q agree with the same observables integrated on
+    # report's breakpoints at twice the panel order
+    p = _solved_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = report(p)
+    doubled = QuadratureScheme(2 * PANEL_ORDER, radial_scheme(p).breakpoints)
+    r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), doubled)
+
+    def q_integrand(r):
+        w = w_coordinate(r, p)
+        return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+
+    assert abs(rep.r_rms - 0.5 * math.sqrt(r2)) < 1e-9
+    assert abs(rep.Q - integrate_panels(q_integrand, doubled) / 20.0) < 1e-9
+
+
 def test_three_figure_strengths_do_not_warn():
     # the rounded values leave |P_S + P_D - 1| ~ 2e-4, inside the band
     p = ModelParams(b1=B_RANGE, b2=B_RANGE, alpha=ALPHA, A=0.905, B=1.57)
