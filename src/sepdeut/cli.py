@@ -159,11 +159,19 @@ def cmd_wavefunctions(args) -> int:
                 raise ValueError(f"overlay file {args.overlay!r} has no r_fm column")
             overlay_fields = [name for name in reader.fieldnames if name != "r_fm"]
             overlay_rows = [row for row in reader]
-        overlay_r = np.array([float(row["r_fm"]) for row in overlay_rows])
-        if overlay_r.size == 0:
+        if not overlay_rows:
             raise ValueError(f"overlay file {args.overlay!r} has no data rows")
-        if not np.isfinite(overlay_r).all():
-            raise ValueError(f"overlay file {args.overlay!r} has a non-finite r_fm")
+        overlay_r = np.empty(len(overlay_rows))
+        for i, row in enumerate(overlay_rows):
+            try:
+                # DictReader fills missing fields with None and keys extra ones by None
+                if None in row or None in row.values():
+                    raise ValueError(f"not the header's {len(reader.fieldnames)} fields")
+                overlay_r[i] = float(row["r_fm"])
+                if not math.isfinite(overlay_r[i]):
+                    raise ValueError("r_fm is non-finite")
+            except ValueError as exc:
+                raise ValueError(f"overlay file {args.overlay!r}, data row {i + 1}: {exc}") from None
     columns = [_reprs(grid), _reprs(u_coordinate(grid, p)), _reprs(w_coordinate(grid, p))]
     columns.append(np.select(_region_masks(grid, p), [reg.value for reg in Region], default="").tolist())
     if overlay_fields:

@@ -1,4 +1,4 @@
-"""Gauss-Legendre panel integration and differentiation.
+"""Gauss-Legendre panel integration.
 
 The integrands in this package are piecewise-analytic products of
 exponentials, low-degree polynomials and slow oscillations, so fixed-order
@@ -102,22 +102,6 @@ def integrate_panels(f, scheme: QuadratureScheme) -> float:
     if sums.ndim == 1:
         return math.fsum((half * sums).tolist())
     return np.array([math.fsum(row) for row in (half * sums).tolist()])
-
-
-def differentiate(f, x: float, h0: float = 1e-3) -> float:
-    """Richardson-extrapolated central difference, two levels, error O(h0^6).
-
-    The caller must ensure f is smooth on [x - h0, x + h0]; in particular
-    no piecewise-formula boundary may sit inside the stencil.
-    """
-
-    def central(h):
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    d1, d2, d3 = central(h0), central(h0 / 2.0), central(h0 / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
 
 
 def radial_scheme(params: ModelParams) -> QuadratureScheme:

@@ -21,7 +21,7 @@ handled by exact algebraic regroupings rather than extra precision:
   sinh^2(y/2)-(y/2)^2 groupings) so nearly-equal ranges keep full
   precision.
 
-The series for g and for sinh(y)-y, like the i2 series behind x*i2(x),
+The series for g, g' and sinh(y)-y, like the i2 series behind x*i2(x),
 come from the exact-rational generator `specfun._exact_series`, fed the
 same exp-polynomial that the closed form evaluates, and switch at the
 same cut, 0.5.
@@ -32,8 +32,8 @@ b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
 same sign.  The inner D-wave dips below zero whenever b1 != b2.
 
 Branch evaluators are exposed individually (`branch_value`) because the
-continuity suite and the one-sided derivatives need each formula's
-natural analytic continuation slightly outside its own region.
+continuity checks compare two adjacent formulas at their shared boundary;
+`du_dr` and `dw_dr` give each formula's exact slope there.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import math
 import numpy as np
 
 from .model import ModelParams, Region, _region_masks, region_of
-from .quadrature import differentiate
 from .specfun import (
     _SERIES_CUT,
     _horner,
@@ -52,9 +51,6 @@ from .specfun import (
     mod_sph_bessel_i,
     mod_sph_bessel_k,
 )
-
-#: default step for Richardson derivative stencils (fm)
-DERIVATIVE_STEP = 1e-3
 
 # sinh y - y = e^y/2 - e^-y/2 - y = y^3 * sum_m c_m y^(2m)
 _SINH_MINUS_PIECES = ((0.5, (1,), 1), (-0.5, (1,), -1), (-1, (0, 1), 0))
@@ -65,6 +61,11 @@ _SINH_MINUS_SERIES = _series_table(_SINH_MINUS_PIECES, 3, 8, 2)
 # so g(x) = x^2 * sum_m c_m x^m.
 _G_PIECES = ((1, (3, 3, 1), -1), (1, (-3, 0, 0.5), 0))
 _G_SERIES = _series_table(_G_PIECES, 4, 15)
+
+# g'(x) = (x k2)'(x) + 6/x^3, and x^3 g' = 6 - e^-x (x^3+3x^2+6x+6),
+# so g'(x) = x * sum_m c_m x^m.
+_DG_PIECES = ((-1, (6, 6, 3, 1), -1), (1, (6,), 0))
+_DG_SERIES = _series_table(_DG_PIECES, 4, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -83,36 +84,41 @@ def _sinh_sq_minus(t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array-aware radial profile pieces, valid for any real argument so the
-# derivative stencils may cross r = 0
+# array-aware radial profile pieces of x >= 0 and their x-derivatives (d = 1)
 
-def _xi2(x):
-    """x * i2(x); odd because i2 is even."""
+def _xi2(x, d=0):
+    """x * i2(x), or its derivative x * i1(x) - 2 * i2(x)."""
     xa = np.asarray(x, dtype=float)
-    return xa * mod_sph_bessel_i(2, np.abs(xa))
+    if d:
+        return xa * mod_sph_bessel_i(1, xa) - 2.0 * mod_sph_bessel_i(2, xa)
+    return xa * mod_sph_bessel_i(2, xa)
 
 
-def _xk2(x):
-    """x * k2(x) = exp(-x)*(1 + 3/x + 3/x^2); needs x > 0."""
+def _xk2(x, d=0):
+    """x * k2(x) = exp(-x)*(1 + 3/x + 3/x^2), or its derivative; needs x > 0."""
     xa = np.asarray(x, dtype=float)
+    if d:
+        return -np.exp(-xa) * (1.0 + 3.0 / xa + 6.0 / (xa * xa) + 6.0 / (xa * xa * xa))
     return np.exp(-xa) * (1.0 + 3.0 / xa + 3.0 / (xa * xa))
 
 
-def _g(x):
-    return _split(
-        np.asarray(x, dtype=float),
-        lambda s: s * s * _horner(_G_SERIES, s),
-        lambda s: _xk2(s) - 3.0 / (s * s) + 0.5,
-    )
+def _g(x, d=0):
+    """g(x), or its derivative g'(x) = (x k2)'(x) + 6/x^3."""
+    xa = np.asarray(x, dtype=float)
+    if d:
+        return _split(xa, lambda s: s * _horner(_DG_SERIES, s), lambda s: _xk2(s, 1) + 6.0 / (s * s * s))
+    return _split(xa, lambda s: s * s * _horner(_G_SERIES, s), lambda s: _xk2(s) - 3.0 / (s * s) + 0.5)
 
 
 # ---------------------------------------------------------------------------
-# the six analytic branches
+# the six analytic branches: d = 0 gives the value, d = 1 the exact
+# r-derivative from the same coefficients; alpha**d is dx/dr (1.0 for d = 0)
 
-def _u_inner(r, p: ModelParams):
+def _u_inner(r, p: ModelParams, d=0):
     al = p.alpha
     c = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_k(0, al * p.b2)
-    return c * np.sinh(al * np.asarray(r, dtype=float))
+    x = al * np.asarray(r, dtype=float)
+    return c * al * np.cosh(x) if d else c * np.sinh(x)
 
 
 def _gap(p: ModelParams) -> float:
@@ -120,30 +126,33 @@ def _gap(p: ModelParams) -> float:
     return 0.0 if p.equal_range else p.delta
 
 
-def _u_middle(r, p: ModelParams):
+def _u_middle(r, p: ModelParams, d=0):
     al = p.alpha
     x = al * np.asarray(r, dtype=float)
     cosh_gap = 2.0 * math.sinh(0.5 * al * _gap(p)) ** 2  # cosh(alpha*delta) - 1
     es = math.exp(-al * p.range_sum)
-    bracket = -np.expm1(-x) - cosh_gap * np.exp(-x) - es * np.sinh(x)
-    return p.A / (2.0 * al * al * p.b1 * p.b2) * bracket
+    if d:
+        bracket = (1.0 + cosh_gap) * np.exp(-x) - es * np.cosh(x)
+    else:
+        bracket = -np.expm1(-x) - cosh_gap * np.exp(-x) - es * np.sinh(x)
+    return p.A / (2.0 * al * al * p.b1 * p.b2) * al**d * bracket
 
 
-def _u_outer(r, p: ModelParams):
+def _u_outer(r, p: ModelParams, d=0):
     al = p.alpha
     c = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2)
-    return c * np.exp(-al * np.asarray(r, dtype=float))
+    return c * (-al) ** d * np.exp(-al * np.asarray(r, dtype=float))
 
 
-def _w_inner(r, p: ModelParams):
+def _w_inner(r, p: ModelParams, d=0):
     al = p.alpha
     # minus sign: fixed by continuity with the middle branch at r = b2-b1
     # and confirmed by the numerical transform of the momentum amplitude
     c = -p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_k(1, al * p.b2)
-    return c * _xi2(al * np.asarray(r, dtype=float))
+    return c * al**d * _xi2(al * np.asarray(r, dtype=float), d)
 
 
-def _w_middle(r, p: ModelParams):
+def _w_middle(r, p: ModelParams, d=0):
     al = p.alpha
     x = al * np.asarray(r, dtype=float)
     b1b2 = p.b1 * p.b2
@@ -156,16 +165,20 @@ def _w_middle(r, p: ModelParams):
     const = 2.0 * y**2 - 8.0 * ab_m1 * math.sinh(0.5 * y) ** 2 - 4.0 * y * math.sinh(y)
     pole = 24.0 * y * _sinh_minus(y) + 48.0 * ab_m1 * _sinh_sq_minus(0.5 * y) - 3.0 * y**4
     growth = math.exp(-al * p.range_sum) * (al * al * b1b2 + al * p.range_sum + 1.0)
-    bracket = const + x * x + 8.0 * (ab_m1 * math.cosh(y) + y * math.sinh(y)) * _g(x) - 8.0 * growth * _xi2(x)
+    mix = ab_m1 * math.cosh(y) + y * math.sinh(y)
+    if d:
+        bracket = 2.0 * x + 8.0 * mix * _g(x, 1) - 8.0 * growth * _xi2(x, 1)
+    else:
+        bracket = const + x * x + 8.0 * mix * _g(x) - 8.0 * growth * _xi2(x)
     if pole != 0.0:
-        bracket = bracket + pole / (x * x)
-    return p.B / (16.0 * al**4 * b1b2 * b1b2) * bracket
+        bracket = bracket + (-2.0 * pole / (x * x * x) if d else pole / (x * x))
+    return p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d * bracket
 
 
-def _w_outer(r, p: ModelParams):
+def _w_outer(r, p: ModelParams, d=0):
     al = p.alpha
     c = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2)
-    return c * _xk2(al * np.asarray(r, dtype=float))
+    return c * al**d * _xk2(al * np.asarray(r, dtype=float), d)
 
 
 _BRANCHES = {
@@ -179,11 +192,11 @@ _BRANCHES = {
 
 
 def branch_value(channel: str, region: Region, r, params: ModelParams):
-    """One region's formula evaluated at arbitrary r (analytic continuation).
+    """One region's formula evaluated at r >= 0, inside its region or not.
 
-    Needed wherever two adjacent branches must be compared at or near a
-    boundary; ordinary evaluation should go through u_coordinate /
-    w_coordinate, which dispatch by region.
+    Needed wherever two adjacent branches must be compared at a boundary;
+    ordinary evaluation should go through u_coordinate / w_coordinate,
+    which dispatch by region.
     """
     try:
         f = _BRANCHES[(channel, region)]
@@ -220,21 +233,16 @@ def w_coordinate(r, params: ModelParams):
 def _derivative(channel: str, r: float, params: ModelParams, region):
     if not r > 0:
         raise ValueError(f"derivative needs r > 0, got {r!r}")
-    if region is None:
-        region = region_of(r, params)
-
-    def f(rr):
-        return float(branch_value(channel, region, rr, params))
-
-    return differentiate(f, r, DERIVATIVE_STEP)
+    region = region_of(r, params) if region is None else Region(region)
+    return float(_BRANCHES[(channel, region)](r, params, 1))
 
 
 def du_dr(r: float, params: ModelParams, region: Region | None = None) -> float:
-    """du/dr at r > 0, differentiating a single branch's continuation.
+    """Exact du/dr at r > 0, from a single branch's formula.
 
-    `region` selects which branch; by default the one containing r.  The
-    stencil never mixes branches, so one-sided derivatives at a boundary
-    are obtained by passing the two adjacent regions explicitly.
+    `region` selects which branch; by default the one containing r.  One-
+    sided derivatives at a boundary are obtained by passing the two
+    adjacent regions explicitly.
     """
     return _derivative("u", r, params, region)
 

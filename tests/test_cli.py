@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sepdeut
 from sepdeut import cli, wf_coordinate
 from sepdeut.cli import main
 from sepdeut.model import ModelParams, Region, region_of
@@ -15,6 +19,19 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_test_dependency():
+    # numpy is the one runtime dependency; scipy, mpmath, sympy and
+    # hypothesis serve only tests and derivations
+    src = os.path.dirname(os.path.dirname(sepdeut.__file__))
+    code = (
+        "import sys, sepdeut, sepdeut.cli; "
+        "print(sorted({'scipy', 'mpmath', 'sympy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_observables_json(capsys):
@@ -75,15 +92,25 @@ def test_wavefunctions_overlay(tmp_path, capsys):
     assert row[1] == row[4] and row[2] == row[5]
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_overlay_rejects_nonfinite_r(bad, tmp_path, capsys):
-    # a NaN r_fm would win every nearest-row lookup and merge into all rows
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        pytest.param("nan,b", "non-finite", id="nan"),
+        pytest.param("inf,b", "non-finite", id="inf"),
+        pytest.param("2.0", "not the header's 2 fields", id="missing-field"),
+        pytest.param("2.0,b,x", "not the header's 2 fields", id="extra-field"),
+        pytest.param(",b", "could not convert", id="empty-r"),
+    ],
+)
+def test_overlay_rejects_nonfinite_r(bad, reason, tmp_path, capsys):
+    # a NaN r_fm would win every nearest-row lookup and merge into all rows;
+    # a missing field would be written as an empty ref_ column
     ref = tmp_path / "ref.csv"
-    ref.write_text(f"r_fm,label\n0.0,a\n{bad},b\n1.0,c\n")
+    ref.write_text(f"r_fm,label\n0.0,a\n{bad}\n1.0,c\n")
     target = tmp_path / "merged.csv"
     code, out, err = run(["wavefunctions", "--overlay", str(ref), "--output", str(target)], capsys)
     assert code == 2
-    assert str(ref) in err and "non-finite" in err
+    assert f"{str(ref)!r}, data row 2: " in err and reason in err
     assert not target.exists()
 
 
@@ -252,7 +279,10 @@ def test_fit_takes_no_start(capsys):
 
 
 def test_validate_passes_clean(capsys):
-    for extra in ([], ["--b1", "1.0", "--b2", "2.0"]):
+    # the last point once failed "derivative w" by rounding noise of a
+    # finite-difference slope (1.1e-8 against the 1e-8 tolerance)
+    found = (1.410922597420848, 1.410922597420848, 0.2053313638632265, 3.112640854372824)
+    for extra in ([], ["--b1", "1.0", "--b2", "2.0"], _point_flags(found)):
         code, out, _ = run(["validate"] + extra, capsys)
         assert code == 0
         assert "FAIL" not in out
@@ -262,7 +292,7 @@ def test_validate_passes_clean(capsys):
 def test_validate_catches_injected_fault(monkeypatch, capsys):
     clean = wf_coordinate._BRANCHES[("w", Region.MIDDLE)]
     monkeypatch.setitem(
-        wf_coordinate._BRANCHES, ("w", Region.MIDDLE), lambda r, p: (1.0 + 1e-3) * clean(r, p)
+        wf_coordinate._BRANCHES, ("w", Region.MIDDLE), lambda r, p, d=0: (1.0 + 1e-3) * clean(r, p, d)
     )
     code, out, _ = run(["validate"], capsys)
     assert code == 1

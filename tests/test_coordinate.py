@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from sepdeut.model import ModelParams, Region, region_of
+from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels
 from sepdeut.specfun import _horner, mod_sph_bessel_k
 from sepdeut.wf_coordinate import (
+    _BRANCHES,
+    _DG_SERIES,
     _G_SERIES,
     _SINH_MINUS_SERIES,
     _g,
@@ -92,7 +95,7 @@ def test_one_sided_derivatives_match(pair):
         for deriv in (du_dr, dw_dr):
             d_lo = deriv(r0, p, lo)
             d_hi = deriv(r0, p, hi)
-            assert abs(d_lo - d_hi) / max(abs(d_lo), abs(d_hi)) < 1e-8
+            assert abs(d_lo - d_hi) / max(abs(d_lo), abs(d_hi)) < 1e-10
 
 
 def test_near_equal_ranges_approach_equal_formulas():
@@ -155,12 +158,76 @@ def test_analytic_derivative_d_channel_outer():
 
 
 def test_derivative_limit_at_origin():
-    # u'(0+) = A (1 - e^(-2ab)) / (2 a b^2); the slope u'' = -A/(2b^2)
-    # moves the numerical value by ~2e-7 at r = 1e-6
+    # u'(r) = A/(2 a b^2) (e^(-ar) - e^(-2ab) cosh(ar)), which tends to
+    # u'(0+) = A (1 - e^(-2ab)) / (2 a b^2)
     p = _params(1.475, 1.475, A=0.905, B=1.57)
     a, b = ALPHA, 1.475
+    r = 1e-6
+    exact = p.A / (2.0 * a * b * b) * (math.exp(-a * r) - math.exp(-2.0 * a * b) * math.cosh(a * r))
     limit = p.A * (1.0 - math.exp(-2.0 * a * b)) / (2.0 * a * b * b)
-    assert du_dr(1e-6, p) == pytest.approx(limit, abs=1e-6)
+    assert du_dr(r, p) == pytest.approx(exact, rel=1e-12)
+    assert du_dr(r, p) == pytest.approx(limit, rel=1e-6)
+
+
+# Middle-region slopes of w (A = B = 1) from 40-digit mpmath differentiation
+# of the closed-form branch, as (b1, b2, alpha, r, dw/dr).  w is near its
+# maximum at both radii, so the slope is small against the bracket's terms.
+MIDDLE_SLOPES = [
+    (0.9790944134483095, 1.8393549207531361, 0.24236072254141028, 2.5217793336095506, 0.0008522441287325285),
+    (1.4984535865517072, 1.4984535865517072, 0.25762423832975206, 2.578561373260177, -0.0001709333015067012),
+]
+
+
+@pytest.mark.parametrize("b1, b2, alpha, r, slope", MIDDLE_SLOPES, ids=["unequal", "equal"])
+def test_middle_slope_against_reference(b1, b2, alpha, r, slope):
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
+    assert region_of(r, p) is Region.MIDDLE
+    assert dw_dr(r, p) == pytest.approx(slope, rel=5e-10)
+
+
+# The branches solve y'' = (l(l+1)/r^2 + alpha^2) y - strength * S(r) with
+# S = 0 outside the middle region, S_C = 1/(2 b1 b2) for u and
+# S_T(r) = [2(b1^2 + b2^2) + r^2 - 3(b2^2 - b1^2)^2/r^2] / (16 b1^2 b2^2) for w.
+RADIAL_POINTS = [
+    (1.475, 1.475, 0.23165),
+    (1.0, 2.0, 0.23165),
+    (1.0, 2.0, 0.5),
+    (0.8, 0.8, 0.5),
+    (0.8613, 1.0119, 0.4415),
+    (0.8, 1.3, 0.23),
+    (1.0, 1.0, 5.0),
+]
+
+
+def _source(channel, region, p, r):
+    if region is not Region.MIDDLE:
+        return 0.0
+    bb = p.b1 * p.b1 * p.b2 * p.b2
+    if channel == "u":
+        return 1.0 / (2.0 * p.b1 * p.b2)
+    return (2.0 * (p.b1**2 + p.b2**2) + r * r - 3.0 * (p.b2**2 - p.b1**2) ** 2 / (r * r)) / (16.0 * bb)
+
+
+@pytest.mark.parametrize("b1, b2, alpha", RADIAL_POINTS)
+def test_branches_solve_radial_equation(b1, b2, alpha):
+    # weak form on 8 sub-panels of each region (the outer one cut at ten
+    # decay lengths): y'(r2) - y'(r1) = integral of y'' over [r1, r2].
+    # Worst measured residual 1.6e-12 of the larger end slope (w, middle).
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
+    edges = [0.0] + ([] if p.equal_range else [p.delta]) + [p.range_sum, p.range_sum + 10.0 / alpha]
+    regions = [Region.MIDDLE, Region.OUTER] if p.equal_range else list(Region)
+    for lo, hi, region in zip(edges, edges[1:], regions):
+        for channel, ll in (("u", 0.0), ("w", 6.0)):
+            branch = _BRANCHES[(channel, region)]
+
+            def y2(r):
+                return (ll / (r * r) + alpha * alpha) * branch(r, p) - _source(channel, region, p, r)
+
+            ends = np.linspace(lo, hi, 9)
+            for r1, r2 in zip(ends, ends[1:]):
+                d1, d2 = float(branch(r1, p, 1)), float(branch(r2, p, 1))
+                integral = integrate_panels(y2, QuadratureScheme(PANEL_ORDER, (r1, r2)))
+                assert abs(d2 - d1 - integral) <= 5e-11 * max(abs(d1), abs(d2)), (channel, region, r1)
 
 
 def test_derivative_rejects_nonpositive_radius():
@@ -218,6 +285,15 @@ def test_g_series_and_closed_agree_in_switch_band():
     series = x * x * _horner(_G_SERIES, x)
     assert np.max(np.abs(series - closed) / np.abs(closed)) < 5e-12
     assert np.max(np.abs(_g(x) - closed) / np.abs(closed)) < 5e-12
+
+
+def test_dg_series_and_closed_agree_in_switch_band():
+    # g'(x) = (x k2)'(x) + 6/x^3 cancels 6/x^3 down to O(x/4)
+    x = SWITCH_BAND
+    closed = -np.exp(-x) * (1.0 + 3.0 / x + 6.0 / x**2 + 6.0 / x**3) + 6.0 / x**3
+    series = x * _horner(_DG_SERIES, x)
+    assert np.max(np.abs(series - closed) / np.abs(closed)) < 5e-12
+    assert np.max(np.abs(_g(x, 1) - closed) / np.abs(closed)) < 5e-12
 
 
 def test_sinh_minus_series_and_closed_agree_in_switch_band():

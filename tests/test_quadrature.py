@@ -9,7 +9,6 @@ from sepdeut.quadrature import (
     PANEL_ORDER,
     QuadratureError,
     QuadratureScheme,
-    differentiate,
     gauss_legendre_rule,
     integrate_panels,
     momentum_scheme,
@@ -126,12 +125,6 @@ def test_nonfinite_integrand_is_reported():
     scheme = QuadratureScheme(panel_order=8, breakpoints=(0.0, 2.0))
     with pytest.raises(QuadratureError, match="non-finite at x ="):
         integrate_panels(lambda x: np.where(x > 1.0, np.nan, 1.0), scheme)
-
-
-def test_differentiate_known_functions():
-    assert differentiate(math.sin, 0.7) == pytest.approx(math.cos(0.7), rel=1e-12)
-    assert differentiate(math.exp, 1.0) == pytest.approx(math.e, rel=1e-12)
-    assert differentiate(lambda x: x**4, 2.0) == pytest.approx(32.0, rel=1e-12)
 
 
 def test_radial_scheme_breakpoints():

@@ -25,7 +25,14 @@ from sepdeut.specfun import (
     mod_sph_bessel_k,
     sph_bessel_j,
 )
-from sepdeut.wf_coordinate import _G_PIECES, _G_SERIES, _SINH_MINUS_PIECES, _SINH_MINUS_SERIES
+from sepdeut.wf_coordinate import (
+    _DG_PIECES,
+    _DG_SERIES,
+    _G_PIECES,
+    _G_SERIES,
+    _SINH_MINUS_PIECES,
+    _SINH_MINUS_SERIES,
+)
 
 # High-precision reference values (40-digit arithmetic, rounded to double).
 J2_AT_1 = 0.062035052011373861
@@ -37,6 +44,7 @@ SERIES_TABLES = {
     **{f"i{l}": (_I_PIECES[l], 2 * l + 1, 2, _I_SERIES[l], _SERIES_CUT) for l in range(3)},
     "sinh_minus": (_SINH_MINUS_PIECES, 3, 2, _SINH_MINUS_SERIES, _SERIES_CUT),
     "g": (_G_PIECES, 4, 1, _G_SERIES, _SERIES_CUT),
+    "g'": (_DG_PIECES, 4, 1, _DG_SERIES, _SERIES_CUT),
     "P_S": (_PS_PIECES, 4, 1, _PS_SERIES, _PS_SERIES_CUT),
     "P_D": (_PD_PIECES, 9, 1, _PD_SERIES, _PD_SERIES_CUT),
 }
