@@ -18,7 +18,8 @@ Parseval partner over the coordinate-space branches,
 in one call.
 
 The rms radius and quadrupole moment come from three radial moments of
-the coordinate-space branches at unit strengths, integrated together;
+the coordinate-space branches at unit strengths, integrated together
+from one `uw_coordinate` call (both channels over one region split);
 with the two norm integrals they form one moment record, over which
 every observable is a quadratic form in the strengths (A, B).  `report`
 is their one entry point.  Every quadrature runs at the package's one
@@ -36,7 +37,7 @@ import numpy as np
 from .model import ModelParams
 from .quadrature import integrate_panels, momentum_scheme, radial_scheme
 from .specfun import _horner, _series_table, mod_sph_bessel_i
-from .wf_coordinate import u_coordinate, w_coordinate
+from .wf_coordinate import uw_coordinate
 from .wf_momentum import uw_momentum
 
 # Below these values of x = alpha*b the closed brackets lose more than
@@ -115,7 +116,7 @@ def probabilities_coordinate(params: ModelParams):
     """(P_S, P_D) over u(r)^2 and w(r)^2 (Parseval partner of the k form)."""
 
     def f(r):
-        return np.stack([u_coordinate(r, params) ** 2, w_coordinate(r, params) ** 2])
+        return uw_coordinate(r, params) ** 2
 
     return tuple(integrate_panels(f, radial_scheme(params)).tolist())
 
@@ -158,13 +159,13 @@ def solve_normalisation(
 def _rms_core(unit: ModelParams) -> np.ndarray:
     """Radial moments (R_S, R_D, X) = integrals of r^2 (u^2, w^2, u w).
 
-    `unit` carries A = B = 1.  One integrand call evaluates u and w once
-    on every node and returns the three integrands stacked.
+    `unit` carries A = B = 1.  One integrand call evaluates u and w
+    together on every node, over one region split, and returns the three
+    integrands stacked.
     """
 
     def f(r):
-        u = u_coordinate(r, unit)
-        w = w_coordinate(r, unit)
+        u, w = uw_coordinate(r, unit)
         r2 = r * r
         return np.stack([r2 * u * u, r2 * w * w, r2 * u * w])
 

@@ -36,7 +36,7 @@ import numpy as np
 from .model import ModelParams, Region, region_of
 from .quadrature import PANEL_ORDER, _panel_sums
 from .specfun import sph_bessel_j
-from .wf_coordinate import u_coordinate, w_coordinate
+from .wf_coordinate import uw_coordinate
 from .wf_momentum import uw_momentum
 
 #: radii probed by validate_transforms (fm) — spread over all three regions
@@ -149,12 +149,13 @@ def validate_transforms(params: ModelParams, r_grid=DEFAULT_R_GRID) -> Transform
     for r in r_grid:
         spacing = math.pi / (r + spacing_scale)
         ur, wr = bessel_transform((0, 2), lambda k: uw_momentum(k, params), r, zero_spacing=spacing)
+        u, w = uw_coordinate(r, params).tolist()
         points.append(
             TransformPoint(
                 r=float(r),
                 region=region_of(r, params),
-                dev_u=abs(ur - u_coordinate(r, params)),
-                dev_w=abs(wr - w_coordinate(r, params)),
+                dev_u=abs(ur - u),
+                dev_w=abs(wr - w),
             )
         )
     return TransformReport(

@@ -31,6 +31,9 @@ numerical transform of the momentum wavefunction is negative below
 b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
 same sign.  The inner D-wave dips below zero whenever b1 != b2.
 
+`uw_coordinate` evaluates both channels over one region split;
+`u_coordinate` and `w_coordinate` are its one-row cases.
+
 Branch evaluators are exposed individually (`branch_value`) because the
 continuity checks compare two adjacent formulas at their shared boundary;
 `du_dr` and `dw_dr` give each formula's exact slope there.
@@ -205,29 +208,39 @@ def branch_value(channel: str, region: Region, r, params: ModelParams):
     return f(r, params)
 
 
-def _piecewise(channel: str, r, params: ModelParams):
+def _piecewise(channels: tuple, r, params: ModelParams):
+    """Rows of the channels' values at r, from one validation and one region split."""
     ra = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(ra)):
         raise ValueError("r must be finite")
     if np.any(ra < 0):
         raise ValueError("r must be >= 0")
-    scalar = ra.ndim == 0
-    ra = np.atleast_1d(ra)
-    out = np.empty_like(ra)
-    for region, mask in zip(Region, _region_masks(ra, params)):
+    r1 = np.atleast_1d(ra)
+    out = np.empty((len(channels),) + r1.shape)
+    for region, mask in zip(Region, _region_masks(r1, params)):
         if np.any(mask):
-            out[mask] = branch_value(channel, region, ra[mask], params)
-    return float(out[0]) if scalar else out
+            rm = r1[mask]
+            for row, channel in zip(out, channels):
+                row[mask] = _BRANCHES[(channel, region)](rm, params)
+    return out[:, 0] if ra.ndim == 0 else out
+
+
+def uw_coordinate(r, params: ModelParams):
+    """u(r) and w(r) stacked, shape (2,) + shape(r): the doubles of
+    u_coordinate and w_coordinate from one shared region split."""
+    return _piecewise(("u", "w"), r, params)
 
 
 def u_coordinate(r, params: ModelParams):
     """S-channel reduced radial wavefunction u(r), vectorized over r >= 0."""
-    return _piecewise("u", r, params)
+    out = _piecewise(("u",), r, params)[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def w_coordinate(r, params: ModelParams):
     """D-channel reduced radial wavefunction w(r), vectorized over r >= 0."""
-    return _piecewise("w", r, params)
+    out = _piecewise(("w",), r, params)[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _derivative(channel: str, r: float, params: ModelParams, region):

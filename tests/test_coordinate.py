@@ -17,6 +17,7 @@ from sepdeut.wf_coordinate import (
     du_dr,
     dw_dr,
     u_coordinate,
+    uw_coordinate,
     w_coordinate,
 )
 
@@ -264,6 +265,35 @@ def test_scalar_array_consistency():
     for i, ri in enumerate(r):
         assert vec_u[i] == u_coordinate(float(ri), p)
         assert vec_w[i] == w_coordinate(float(ri), p)
+
+
+@pytest.mark.parametrize(
+    "b1, b2, alpha",
+    [(1.475, 1.475, 0.23165), (1.0, 2.0, 0.23165), (0.8613, 1.0119, 0.4415), (1.2, 1.2 + 5e-10, 0.3)],
+)
+def test_uw_coordinate_rows_equal_single_channel_calls(b1, b2, alpha):
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5)
+    inner, outer = p.delta, p.range_sum
+    r = np.array([0.0, 0.5 * inner, inner, np.nextafter(inner, 1.0), 0.5 * (inner + outer),
+                  outer, np.nextafter(outer, 9.0), 2.0 * outer, 12.0])
+    expected = {Region.MIDDLE, Region.OUTER} if p.equal_range else set(Region)
+    assert {region_of(x, p) for x in r.tolist()} == expected
+    uw = uw_coordinate(r, p)
+    assert uw.shape == (2,) + r.shape
+    assert uw[0].tolist() == u_coordinate(r, p).tolist()
+    assert uw[1].tolist() == w_coordinate(r, p).tolist()
+    assert uw_coordinate(r.reshape(3, 3), p).tolist() == uw.reshape(2, 3, 3).tolist()
+    for x in r.tolist():
+        pair = uw_coordinate(x, p)
+        assert pair.shape == (2,)
+        assert pair.tolist() == [u_coordinate(x, p), w_coordinate(x, p)]
+    for bad in (-0.5, float("nan"), float("inf"), [1.0, -1.0]):
+        messages = set()
+        for f in (uw_coordinate, u_coordinate, w_coordinate):
+            with pytest.raises(ValueError) as err:
+                f(bad, p)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 def test_branch_value_rejects_unknown_channel():

@@ -193,3 +193,49 @@ def test_scalar_and_array_shapes():
     mixed = mod_sph_bessel_i(2, np.array([0.01, 0.499, 0.501, 5.0]))
     assert np.all(np.isfinite(mixed))
     assert np.all(np.diff(mixed) > 0)
+
+
+def _scalar_arguments():
+    rng = np.random.default_rng(20261019)
+    random = np.concatenate([rng.uniform(0.0, 2.0, 6000), np.exp(rng.uniform(math.log(1e-300), math.log(700.0), 4000))])
+    edges = np.array([0.0, np.nextafter(_SERIES_CUT, 0.0), _SERIES_CUT, np.nextafter(_SERIES_CUT, 1.0), 1e-300, 700.0])
+    return np.concatenate([random, edges])
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_scalar_call_equals_one_element_array_call(l, kind):
+    # the float path skips the masks and must still give the array's doubles
+    xs = _scalar_arguments()
+    with np.errstate(all="ignore"):  # i2 overflows at 700, k_l at 1e-300
+        for f, args in ((mod_sph_bessel_i, xs), (mod_sph_bessel_k, xs[xs > 0])):
+            scalar = [f(l, kind(x)) for x in args.tolist()]
+            assert all(type(v) is float for v in scalar)
+            array = [f(l, np.array([x]))[0] for x in args.tolist()]
+            assert [v.hex() for v in scalar] == [float(v).hex() for v in array]
+
+
+def test_scalar_call_does_not_reach_the_mask_split(monkeypatch):
+    import sepdeut.specfun as specfun
+
+    def no_split(*args):
+        raise AssertionError("scalar argument reached _split")
+
+    monkeypatch.setattr(specfun, "_split", no_split)
+    for x in (0.0, 0.3, _SERIES_CUT, 2.0, np.float64(0.3), np.float64(2.0), 1, np.array(0.3)):
+        for l in (0, 1, 2):
+            assert isinstance(mod_sph_bessel_i(l, x), float)
+            if x > 0:
+                assert isinstance(mod_sph_bessel_k(l, x), float)
+    with pytest.raises(AssertionError, match="_split"):
+        mod_sph_bessel_i(0, np.array([0.3]))
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, np.array, lambda x: np.array([x, 1.0])])
+def test_scalar_domain_errors_match_the_array_path(kind):
+    for x, message in ((math.nan, "finite"), (math.inf, "finite"), (-1.0, "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            mod_sph_bessel_i(1, kind(x))
+    for x, message in ((math.nan, "finite"), (-math.inf, "finite"), (-1.0, "diverges"), (0.0, "diverges")):
+        with pytest.raises(ValueError, match=message):
+            mod_sph_bessel_k(1, kind(x))
