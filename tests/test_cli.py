@@ -279,14 +279,16 @@ def test_fit_takes_no_start(capsys):
 
 
 def test_validate_passes_clean(capsys):
-    # the last point once failed "derivative w" by rounding noise of a
-    # finite-difference slope (1.1e-8 against the 1e-8 tolerance)
+    # the third point once failed "derivative w" by rounding noise of a
+    # finite-difference slope (1.1e-8 against the 1e-8 tolerance); at the
+    # last, a transform truncated at 1280 fm^-1 once missed its doubling gate
     found = (1.410922597420848, 1.410922597420848, 0.2053313638632265, 3.112640854372824)
-    for extra in ([], ["--b1", "1.0", "--b2", "2.0"], _point_flags(found)):
+    truncated = ["--b1", "0.8", "--alpha", "0.5", "--ratio", "6"]
+    for extra in ([], ["--b1", "1.0", "--b2", "2.0"], _point_flags(found), truncated):
         code, out, _ = run(["validate"] + extra, capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert "PASS" in out
+        assert all(line.endswith(" PASS") or "skipped" in line for line in out.splitlines())
 
 
 def test_validate_catches_injected_fault(monkeypatch, capsys):
