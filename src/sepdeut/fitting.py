@@ -1,53 +1,66 @@
-"""Fit of (b, ratio) to a target (r_rms, Q) pair, as a 1-D root in b.
+"""Fit of (b, ratio) to a target (r_rms, Q) pair, as the roots of one
+pole-free function of b.
 
 Equal ranges are assumed.  Every observable is a quadratic form in the
 strengths over the unit-strength moments of one range b (see
-`observables._Moments`), so the r_rms target fixes the ratio (B/A)^2,
+`observables._Moments`).  With t = B/A, the r_rms target fixes the ratio
 
-    rho(b) = (4 r*^2 N_S - R_S) / (R_D - 4 r*^2 N_D),
+    t^2 = num / den,  num = 4 r*^2 N_S - R_S,  den = R_D - 4 r*^2 N_D,
 
-and what is left is h(b) = Q(b, rho(b)) - Q* = 0.  Where rho < 0, h =
-rho - Q*: both forms are -Q* at rho = 0, so h is continuous there.  Where
-the denominator vanishes rho jumps from +inf to -inf, but h is negative on
-both sides (Q -> -R_D / (20 N_D) < 0 <= Q*), so a pole is never a root.
+and the Q target is the quadratic a t^2 - beta t + c = 0, with
+a = R_D + 20 Q* N_D, beta = sqrt(8) X and c = 20 Q* N_S.  Eliminating t,
+both targets hold exactly where
 
-h is scanned at b/r* = 0.1, 0.2, ..., 2.  A cell is a candidate if h, or
-the numerator or denominator of rho, changes sign across it; the latter
-marks an edge of a window rho >= 0, which may be narrower than the cell.
-Candidates are taken in order of the smallest ratio at their ends (0 for a
-cell holding the rho = 0 edge) and dropped once that reaches the best root,
-so the root returned is the one with the smallest ratio.  A sign change of
-h is refined by safeguarded secant steps; an edge cell without one is
-bisected, at most `_EDGE_DEPTH` times.
+    F(b) = 8 num den X^2 - (num R_D + 20 Q* (N_S den + num N_D))^2 = 0
 
-A root is a point whose residual norm is at most `TOLERANCE`, and
-`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`; both
-are fixed, like the panel order of the moments.  No start is needed:
-`initial` is accepted and ignored, and the CLI has no start flags
-(`--start-b`, `--start-ratio`).  With no root, converged = False is
-returned at the evaluated point of smallest residual norm (ratio clipped
-at 0): the scan bracketed none.
+(X > 0).  F has no pole where den = 0.  It is homogeneous of degree two
+in the S moments and in the D moments, so it is divided by (N_S N_D)^2:
+that leaves its roots, and leaves a function of the channels' mean squared
+radii that a polynomial of low degree resolves.  Undivided, F falls by
+decades across the window at alpha = 1, and the last of 20 Chebyshev
+coefficients reach 1e-4 of the largest instead of 1e-9.
+
+F is sampled at `_NODES` Chebyshev points on b/r* in [0.1, 2] and the
+roots of its interpolant are the eigenvalues of the colleague matrix
+(`numpy.polynomial.chebyshev.chebroots`).  Real roots, and near-real
+complex pairs (two roots about to merge where the targets stop being
+feasible), are taken in order of the interpolated num/den and polished by
+secant steps on F, the first from the interpolant's slope.  At each point
+the ratio is t^2, with t the root of the Q quadratic nearer sqrt(num/den):
+the small root 2c / (beta + sqrt(disc)) where Q* -> 0 makes num/den
+ill-conditioned, the large root (beta + sqrt(disc)) / (2a) for roots of
+large ratio.  The first polished root whose residual norm is at most
+`TOLERANCE` is returned, so the root returned is the one with the
+smallest ratio.
+
+`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`; the
+node count and the tolerance are fixed, like the panel order of the
+moments.  No start is needed: `initial` is accepted and ignored, and the
+CLI has no start flags (`--start-b`, `--start-ratio`).  With no root,
+converged = False is returned at the evaluated point of smallest
+residual norm.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.polynomial import chebyshev
+
 from .observables import _moments, solve_normalisation
 
-#: scanned ranges, in units of the target radius
-_SCAN = tuple(0.1 * i for i in range(1, 21))
-#: bisections of an edge cell that shows no sign change of h
-_EDGE_DEPTH = 3
+#: Chebyshev nodes on b/r* in [0.1, 2].  At 20 the last two coefficients
+#: of F's interpolant are at most 1.3e-9 of its largest over 559 feasible
+#: targets (16: 4.7e-8, 24: 3.7e-11), and each of those targets, and of
+#: 3000 more with alpha in [0.05, 3], is met at a ratio no larger than the
+#: one it was made from; at 16 nodes one of them is not.
+_NODES = 20
 #: residual norm a root must reach
 TOLERANCE = 1e-6
-#: moment evaluations a fit may make: the scan, then 60 for edge
-#: bisections and root refinement together
-MAX_EVALUATIONS = len(_SCAN) + 60
-# refinement stops once the residual norm is this far below TOLERANCE
-_REFINE_MARGIN = 1e-4
+#: moment evaluations a fit may make: the nodes, then polishing
+MAX_EVALUATIONS = _NODES + 60
 
 
 @dataclass(frozen=True)
@@ -80,27 +93,6 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One moment evaluation: rho's numerator and denominator, h, and the
-    residual norm at the ratio max(rho, 0)."""
-
-    b: float
-    num: float
-    den: float
-    rho: float
-    h: float
-    norm: float
-
-    @property
-    def ratio(self) -> float:
-        return max(self.rho, 0.0)
-
-
-def _changes(p: _Point, q: _Point, field: str) -> bool:
-    return (getattr(p, field) < 0) != (getattr(q, field) < 0)
-
-
 def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> FitResult:
     """Solve r_rms(b, ratio) = target, Q(b, ratio) = target.
 
@@ -110,76 +102,61 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     r_target, q_target = targets.r_rms, targets.Q
     r2 = 4.0 * r_target * r_target
+    q20 = 20.0 * q_target
     q_scale = q_target if q_target > 0 else 1.0
-    evaluated: list[_Point] = []
+    records: list[tuple] = []  # (residual norm, b, ratio), one per moment evaluation
 
-    def point(b: float) -> _Point:
+    def F(b: float):
+        """F / (N_S N_D)^2, num and den at b; records the point."""
         m = _moments(b, b, alpha)
         num = r2 * m.N_S - m.R_S
         den = m.R_D - r2 * m.N_D
-        rho = num / den if den != 0 else -math.inf
-        A, B = m.strengths(max(rho, 0.0))
-        q = m.Q(A, B)
-        h = q - q_target if rho >= 0 else rho - q_target
-        norm = math.hypot((m.r_rms(A, B) - r_target) / r_target, (q - q_target) / q_scale)
-        p = _Point(b, num, den, rho, h, norm)
-        evaluated.append(p)
-        return p
+        g = num * m.R_D + q20 * (m.N_S * den + num * m.N_D)
+        a, beta, c = m.R_D + q20 * m.N_D, math.sqrt(8.0) * m.X, q20 * m.N_S
+        sqrt_disc = math.sqrt(max(beta * beta - 4.0 * a * c, 0.0))
+        rho = num / den if den else math.inf
+        # the root nearer sqrt(rho): the small one below the two roots' mean
+        small = rho * 4.0 * a * a < beta * beta
+        t = 2.0 * c / (beta + sqrt_disc) if small else (beta + sqrt_disc) / (2.0 * a)
+        A, B = m.strengths(t * t)
+        records.append((math.hypot((m.r_rms(A, B) - r_target) / r_target,
+                                   (m.Q(A, B) - q_target) / q_scale), b, t * t))
+        return (8.0 * num * den * m.X * m.X - g * g) / (m.N_S * m.N_D) ** 2, num, den
 
-    def refine(lo: _Point, hi: _Point) -> _Point:
-        """Shrink a bracket of h by secant steps through the two latest
-        points, bisecting whenever a step leaves the bracket half next to
-        the best point or fails to halve the step before last.  Returns
-        the point of smallest residual norm seen."""
-        best = min(lo, hi, key=lambda p: p.norm)
-        prev, cur, other = lo, hi, lo  # h(cur) and h(other) differ in sign
-        step = before = math.inf
-        while best.norm > _REFINE_MARGIN * TOLERANCE and len(evaluated) < MAX_EVALUATIONS:
-            if not _changes(cur, other, "h"):
-                other = prev
-            if abs(other.h) < abs(cur.h):
-                prev, cur, other = cur, other, cur
-            half = 0.5 * (other.b - cur.b)
-            b = cur.b + half
-            if cur.h != prev.h:
-                secant = cur.b - cur.h * (cur.b - prev.b) / (cur.h - prev.h)
-                if 0 < (secant - cur.b) / half < 1 and abs(secant - cur.b) <= 0.5 * before:
-                    b = secant
-            if b in (cur.b, other.b):
-                break
-            before, step = step, abs(b - cur.b)
-            prev, cur = cur, point(b)
-            best = min(best, cur, key=lambda p: p.norm)
-        return best
+    def b_of(x):
+        return float(r_target * (1.05 + 0.95 * x))
 
-    candidates: list = []
+    coef = chebyshev.chebinterpolate(lambda xs: np.array([F(b_of(x)) for x in xs]), _NODES - 1)
+    f = coef[:, 0]
+    # an error of relative size `tail` moves a double root by about its
+    # square root, so a pair that close to the axis may be two real roots
+    tail = np.abs(f[-2:]).max() / np.abs(f).max()
+    z = chebyshev.chebroots(f)
+    x = np.unique(z.real[(np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= math.sqrt(tail))])
+    rho = chebyshev.chebval(x, coef[:, 1]) / chebyshev.chebval(x, coef[:, 2])
+    slope = (chebyshev.chebval(x, chebyshev.chebder(f)) / (0.95 * r_target)).tolist()
 
-    def consider(p: _Point, q: _Point, depth: int):
-        edge = _changes(p, q, "num") or _changes(p, q, "den")
-        if not (edge or _changes(p, q, "h")):
-            return
-        lowest = 0.0 if _changes(p, q, "num") else min(x.ratio for x in (p, q) if x.rho >= 0)
-        heapq.heappush(candidates, (lowest, p.b, depth, p, q))
-
-    scan = [point(t * r_target) for t in _SCAN]
-    for p, q in zip(scan, scan[1:]):
-        consider(p, q, 0)
-
+    lo, hi = b_of(-1.0), b_of(1.0)
     root = None
-    while candidates and len(evaluated) < MAX_EVALUATIONS:
-        lowest, _, depth, p, q = heapq.heappop(candidates)
-        if root is not None and lowest >= root.ratio:
+    for i in np.argsort(rho):
+        if len(records) >= MAX_EVALUATIONS:
             break
-        if _changes(p, q, "h"):
-            found = refine(p, q)
-            if found.norm <= TOLERANCE and (root is None or found.ratio < root.ratio):
-                root = found
-        elif depth < _EDGE_DEPTH:
-            mid = point(0.5 * (p.b + q.b))
-            consider(p, mid, depth + 1)
-            consider(mid, q, depth + 1)
+        start = len(records)
+        b0 = b_of(x[i])
+        f0 = F(b0)[0]
+        b1, step = b0 - f0 / slope[i], math.inf
+        while len(records) < MAX_EVALUATIONS and lo <= b1 <= hi and 0 < abs(b1 - b0) < step:
+            step = abs(b1 - b0)
+            f1 = F(b1)[0]
+            if f1 == f0:
+                break
+            b0, f0, b1 = b1, f1, b1 - f1 * (b1 - b0) / (f1 - f0)
+        best = min(records[start:])
+        if best[0] <= TOLERANCE:
+            root = best
+            break
 
-    best = root if root is not None else min(evaluated, key=lambda p: p.norm)
-    A, B = solve_normalisation(best.b, alpha, best.ratio)
-    return FitResult(b=best.b, ratio=best.ratio, A=A, B=B, residual_norm=best.norm,
-                     iterations=len(evaluated), converged=best.norm <= TOLERANCE)
+    norm, b, ratio = root or min(records)
+    A, B = solve_normalisation(b, alpha, ratio)
+    return FitResult(b=b, ratio=ratio, A=A, B=B, residual_norm=norm,
+                     iterations=len(records), converged=norm <= TOLERANCE)

@@ -257,12 +257,14 @@ def test_ranges_equal_within_eps_region_give_a_finite_origin(capsys):
 
 
 def test_fit_command(capsys):
-    code, out, _ = run(["fit"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["converged"] is True
-    assert payload["b_fm"] == pytest.approx(1.476, abs=1e-3)
-    assert payload["ratio"] == pytest.approx(3.0, abs=0.01)
+    # the second target's root has a large ratio, with another root close by in b
+    for targets, b, ratio in [([], 1.476, 3.0), (["--target-rrms", "2.08", "--target-q", "0.76"], 1.783, 35.335)]:
+        code, out, _ = run(["fit", *targets], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert payload["b_fm"] == pytest.approx(b, abs=1e-3)
+        assert payload["ratio"] == pytest.approx(ratio, abs=0.01)
 
 
 def test_fit_infeasible_exit_code(capsys):
@@ -273,7 +275,7 @@ def test_fit_infeasible_exit_code(capsys):
 
 
 def test_fit_takes_no_start(capsys):
-    # the fit scans b and needs no starting point, so the flags are gone
+    # the fit needs no starting point, so the flags are gone
     assert run(["fit", "--start-b", "1.2"], capsys)[0] == 2
     assert run(["fit", "--start-ratio", "2.0"], capsys)[0] == 2
 

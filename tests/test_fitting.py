@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
+from scipy.optimize import minimize_scalar
 
 from sepdeut import fitting
 from sepdeut.fitting import MAX_EVALUATIONS, FitResult, FitTargets, fit_parameters
 from sepdeut.model import ModelParams
-from sepdeut.observables import report, solve_normalisation
+from sepdeut.observables import _moments, report, solve_normalisation
 
 ALPHA = 0.23165
 
@@ -92,15 +94,17 @@ def test_start_independence():
     assert max(ratios) - min(ratios) < 1e-4
 
 
-# Targets at other alphas, with (b, ratio) as a 2-D Newton solve of both
-# targets finds them, and the second root each one has at smaller b with
-# a much larger ratio: a scan that took the first crossing in b would
-# return that one.
+# Targets with the (b, ratio) of their smallest-ratio root, and the second
+# root each one has, with a larger ratio.
 OTHER_ALPHAS = [
     # alpha, r*, Q*, (b, ratio), (b, ratio) of the larger-ratio root
     (0.23165, 3.0, 0.87, (3.421311, 0.827040), (3.291614, 64.62673)),
     (0.5, 1.5, 0.2188, (1.807191, 0.641918), (1.685570, 53.09562)),
     (1.0, 2.08, 0.417, (3.390377, 0.102482), (2.908434, 8.418975)),
+    # smallest-ratio roots within 0.11 fm in b of the other root
+    (0.23165, 2.08, 0.76, (1.782987, 35.334607), (1.858595, 52.38073)),
+    (0.23165, 3.0, 1.7, (3.373257, 7.374607), (3.341514, 16.06958)),
+    (0.23165, 2.08, 0.752545079, (1.767150, 32.618464), (1.872, 56.41627)),
 ]
 
 
@@ -115,23 +119,7 @@ def test_smallest_ratio_root_at_other_alphas(alpha, r_rms, q, want, other):
     rep = report(ModelParams(b1=other[0], b2=other[0], alpha=alpha, A=A, B=B))
     assert rep.r_rms == pytest.approx(r_rms, rel=1e-5)
     assert rep.Q == pytest.approx(q, rel=1e-4)
-    assert other[0] < res.b and other[1] > res.ratio
-
-
-def test_window_narrower_than_the_scan_step(monkeypatch):
-    # At (0.23165, 3.0, 0.87) rho >= 0 only for b/r* in [1.0863, 1.1435];
-    # a scan at 0.05, 0.15, ..., 1.95 puts no point inside that window.
-    # Its cell [1.05, 1.15] shows no sign change of h, only sign changes
-    # of rho's numerator and denominator, which mark the window's edges.
-    monkeypatch.setattr(fitting, "_SCAN", tuple(0.05 + 0.1 * i for i in range(20)))
-    target = FitTargets(r_rms=3.0, Q=0.87)
-    res = fit_parameters(target, ALPHA)
-    assert res.converged
-    assert res.b == pytest.approx(3.421311, abs=1e-5)
-    assert res.ratio == pytest.approx(0.827040, abs=1e-5)
-    # without bisecting the edge cells the window is missed
-    monkeypatch.setattr(fitting, "_EDGE_DEPTH", 0)
-    assert not fit_parameters(target, ALPHA).converged
+    assert other[1] > res.ratio
 
 
 def test_iterations_count_moment_evaluations(monkeypatch):
@@ -145,4 +133,66 @@ def test_iterations_count_moment_evaluations(monkeypatch):
     monkeypatch.setattr(fitting, "_moments", counted)
     res = fit_parameters(FitTargets(r_rms=2.08, Q=0.286), ALPHA)
     assert res.iterations == len(calls) <= MAX_EVALUATIONS
-    assert len(calls) >= len(fitting._SCAN)
+    assert len(calls) >= fitting._NODES
+
+
+@pytest.mark.parametrize("r_rms, q", [(2.0, 1e-6), (2.0, 1e-8), (2.08, 1e-6)])
+def test_small_quadrupole_targets_converge(r_rms, q):
+    # the ratio of the smallest-ratio root is about 6e-11 (Q* = 1e-6): from
+    # rho = num/den, which crosses zero there, no double b gives Q to 1e-6
+    res = fit_parameters(FitTargets(r_rms=r_rms, Q=q), ALPHA)
+    assert res.converged
+    assert res.residual_norm <= fitting.TOLERANCE
+    assert res.ratio < 1e-9
+
+
+def test_round_trip_from_random_points():
+    # targets made at random (alpha, b, ratio) with b/r* inside the searched
+    # window [0.1, 2]; the fit may find another root, but not one of larger ratio
+    rng = random.Random(20261)
+    made = 0
+    while made < 60:
+        alpha, b = rng.uniform(0.1, 1.5), rng.uniform(0.5, 3.5)
+        ratio = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+        A, B = solve_normalisation(b, alpha, ratio)
+        rep = report(ModelParams(b1=b, b2=b, alpha=alpha, A=A, B=B))
+        if rep.Q < 0 or not 0.1 <= b / rep.r_rms <= 2.0:
+            continue
+        made += 1
+        res = fit_parameters(FitTargets(r_rms=rep.r_rms, Q=rep.Q), alpha)
+        assert res.converged, (alpha, b, ratio)
+        assert res.ratio <= ratio * (1 + 1e-9) + 1e-12, (alpha, b, ratio, res.ratio)
+
+
+@pytest.mark.parametrize("r_rms, q", [(2.08, 0.286), (2.08, 0.76), (3.0, 1.7), (0.6, 4.0)])
+@pytest.mark.parametrize("alpha", [ALPHA, 1.0])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_fit_scales_with_the_range(r_rms, q, alpha, lam):
+    # (b, alpha, r_rms, Q) -> (lam b, alpha/lam, lam r_rms, lam^2 Q) keeps the ratio
+    base = fit_parameters(FitTargets(r_rms=r_rms, Q=q), alpha)
+    res = fit_parameters(FitTargets(r_rms=lam * r_rms, Q=lam * lam * q), alpha / lam)
+    assert (res.converged, res.iterations) == (base.converged, base.iterations)
+    assert res.b == pytest.approx(lam * base.b, rel=1e-14, abs=0.0)
+    assert res.ratio == pytest.approx(base.ratio, rel=1e-14, abs=0.0)
+
+
+def test_near_tangent_targets():
+    # Along the r_rms = 2.08 curve Q(b) has a largest value; there the two
+    # roots merge and past it no target is met.
+    r_rms = 2.08
+
+    def q_on_curve(b):
+        m = _moments(b, b, ALPHA)
+        rho = (4 * r_rms**2 * m.N_S - m.R_S) / (m.R_D - 4 * r_rms**2 * m.N_D)
+        return m.Q(*m.strengths(rho))
+
+    edge = minimize_scalar(lambda b: -q_on_curve(b), bounds=(1.75, 1.9), method="bounded",
+                           options={"xatol": 1e-9})
+    q_edge = -edge.fun
+    assert 0.768 < q_edge < 0.7682
+    res = fit_parameters(FitTargets(r_rms=r_rms, Q=q_edge - 1e-6), ALPHA)
+    assert res.converged
+    assert res.b == pytest.approx(edge.x, abs=1e-3)
+    res = fit_parameters(FitTargets(r_rms=r_rms, Q=q_edge + 1e-3), ALPHA)
+    assert not res.converged
+    assert res.iterations <= MAX_EVALUATIONS
