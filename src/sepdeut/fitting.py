@@ -20,7 +20,9 @@ radii that a polynomial of low degree resolves.  Undivided, F falls by
 decades across the window at alpha = 1, and the last of 20 Chebyshev
 coefficients reach 1e-4 of the largest instead of 1e-9.
 
-F is sampled at `_NODES` Chebyshev points on b/r* in [0.1, 2] and the
+F is sampled at `_NODES` Chebyshev points on b/r* in [0.1, 2], whose
+moment records are one batched pass (`observables._moments` on all the
+nodes' ranges, a few records per radial quadrature), and the
 roots of its interpolant are the eigenvalues of the colleague matrix
 (`numpy.polynomial.chebyshev.chebroots`).  Real roots, and near-real
 complex pairs (two roots about to merge where the targets stop being
@@ -33,12 +35,16 @@ large ratio.  The first polished root whose residual norm is at most
 `TOLERANCE` is returned, so the root returned is the one with the
 smallest ratio.
 
-`iterations` counts moment evaluations, at most `MAX_EVALUATIONS`; the
-node count and the tolerance are fixed, like the panel order of the
-moments.  No start is needed: `initial` is accepted and ignored, and the
-CLI has no start flags (`--start-b`, `--start-ratio`).  With no root,
-converged = False is returned at the evaluated point of smallest
-residual norm.
+`iterations` counts moment records, batched or not, at most
+`MAX_EVALUATIONS`; the node count and the tolerance are fixed, like the
+panel order of the moments.  No start is needed: `initial` is accepted
+and ignored, and the CLI has no start flags (`--start-b`,
+`--start-ratio`).  When no polished root meets `TOLERANCE`, one more
+record is taken where the interpolant's |F| is least in the window (a
+real root of F', or an end): just past a near-tangent edge, where the two
+roots have merged and left the real axis, that point still meets the
+targets.  With no root, converged = False is returned at the evaluated
+point of smallest residual norm.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from .observables import _moments, solve_normalisation
 _NODES = 20
 #: residual norm a root must reach
 TOLERANCE = 1e-6
-#: moment evaluations a fit may make: the nodes, then polishing
+#: moment records a fit may take: the nodes, then polishing
 MAX_EVALUATIONS = _NODES + 60
 
 
@@ -104,11 +110,10 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
     r2 = 4.0 * r_target * r_target
     q20 = 20.0 * q_target
     q_scale = q_target if q_target > 0 else 1.0
-    records: list[tuple] = []  # (residual norm, b, ratio), one per moment evaluation
+    records: list[tuple] = []  # (residual norm, b, ratio), one per moment record
 
-    def F(b: float):
-        """F / (N_S N_D)^2, num and den at b; records the point."""
-        m = _moments(b, b, alpha)
+    def F(b: float, m):
+        """F / (N_S N_D)^2, num and den at b from its moment record m; records the point."""
         num = r2 * m.N_S - m.R_S
         den = m.R_D - r2 * m.N_D
         g = num * m.R_D + q20 * (m.N_S * den + num * m.N_D)
@@ -123,10 +128,18 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
                                    (m.Q(A, B) - q_target) / q_scale), b, t * t))
         return (8.0 * num * den * m.X * m.X - g * g) / (m.N_S * m.N_D) ** 2, num, den
 
-    def b_of(x):
-        return float(r_target * (1.05 + 0.95 * x))
+    def F_at(b: float) -> float:
+        return F(b, _moments(b, b, alpha))[0]
 
-    coef = chebyshev.chebinterpolate(lambda xs: np.array([F(b_of(x)) for x in xs]), _NODES - 1)
+    def F_nodes(xs):
+        # the nodes' records come from batched moment evaluations
+        bs = b_of(xs).tolist()
+        return np.array([F(b, m) for b, m in zip(bs, _moments(bs, bs, alpha))])
+
+    def b_of(x):
+        return r_target * (1.05 + 0.95 * x)
+
+    coef = chebyshev.chebinterpolate(F_nodes, _NODES - 1)
     f = coef[:, 0]
     # an error of relative size `tail` moves a double root by about its
     # square root, so a pair that close to the axis may be two real roots
@@ -142,12 +155,12 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
         if len(records) >= MAX_EVALUATIONS:
             break
         start = len(records)
-        b0 = b_of(x[i])
-        f0 = F(b0)[0]
+        b0 = float(b_of(x[i]))
+        f0 = F_at(b0)
         b1, step = b0 - f0 / slope[i], math.inf
         while len(records) < MAX_EVALUATIONS and lo <= b1 <= hi and 0 < abs(b1 - b0) < step:
             step = abs(b1 - b0)
-            f1 = F(b1)[0]
+            f1 = F_at(b1)
             if f1 == f0:
                 break
             b0, f0, b1 = b1, f1, b1 - f1 * (b1 - b0) / (f1 - f0)
@@ -156,6 +169,13 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
             root = best
             break
 
+    if root is None and len(records) < MAX_EVALUATIONS:
+        # past a near-tangent edge the two roots leave the real axis: the
+        # best point is then where |F| is least, a real root of F' or an
+        # end of the window
+        z = chebyshev.chebroots(chebyshev.chebder(f))
+        x = np.append(z.real[(z.imag == 0) & (np.abs(z.real) <= 1.0)], (-1.0, 1.0))
+        F_at(float(b_of(x[np.argmin(np.abs(chebyshev.chebval(x, f)))])))
     norm, b, ratio = root or min(records)
     A, B = solve_normalisation(b, alpha, ratio)
     return FitResult(b=b, ratio=ratio, A=A, B=B, residual_norm=norm,

@@ -99,19 +99,28 @@ class ModelParams:
             raise ValueError(f"parameter dictionary is missing key {exc}") from None
 
 
-def _region_masks(r, params: ModelParams):
+def _edges(params: ModelParams):
+    """Outer and inner region boundaries; no radius lies at or below the
+    inner one, -inf, when the ranges are equal."""
+    return params.range_sum, (-math.inf if params.equal_range else params.delta)
+
+
+def _region_masks(r, params):
     """Boolean masks (inner, middle, outer) over radii r.
 
     Boundary points belong to the lower region by convention; the branch
     formulas agree there, so either choice would be consistent.  For equal
     ranges the inner interval is empty and small r falls in the middle.
+    `params` may also be a sequence of records, one per entry of r's
+    leading axis.
     """
     r = np.asarray(r, dtype=float)
-    lower = r <= params.range_sum
-    if params.equal_range:
-        inner = np.zeros(r.shape, dtype=bool)
+    if isinstance(params, ModelParams):
+        outer, inner = _edges(params)
     else:
-        inner = r <= params.delta
+        outer, inner = np.array([_edges(p) for p in params]).T.reshape((2, -1) + (1,) * (r.ndim - 1))
+    lower = r <= outer
+    inner = r <= inner
     return inner, lower & ~inner, ~lower
 
 

@@ -17,6 +17,7 @@ overhead per panel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureScheme:
+    """Panel order and breakpoints of one integral, or of a batch of them.
+
+    Each breakpoint is a float, or for a batch of m integrals over equally
+    many panels a tuple of m floats, its value in each integral.
+    """
+
     panel_order: int
     breakpoints: tuple
 
@@ -44,10 +51,16 @@ class QuadratureScheme:
         n = int(self.panel_order)
         if n < 2:
             raise ValueError(f"panel_order must be >= 2, got {n}")
-        pts = tuple(float(b) for b in self.breakpoints)
+        pts = tuple(self.breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(pts, pts[1:])):
+        if isinstance(pts[0], tuple):
+            pts = tuple(tuple(map(float, b)) for b in pts)
+            rows = list(zip(*pts, strict=True))
+        else:
+            pts = tuple(map(float, pts))
+            rows = [pts]
+        if not all(all(map(operator.lt, row, row[1:])) for row in rows):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "panel_order", n)
         object.__setattr__(self, "breakpoints", pts)
@@ -70,55 +83,66 @@ def gauss_legendre_rule(n: int):
 def _panel_sums(f, left, half, order: int):
     """Gauss-Legendre sums of f over the panels [left, left + 2*half].
 
-    `half` is one half-width per panel, as a column (n, 1), or one for
-    all panels.  Every node of every panel goes to `f` in one array, so
-    `f` is called exactly once.  `f` returns one value per node, or a
-    (k, n) stack of k integrands on the n nodes.  Returns the unscaled
-    sum over each panel's nodes, shape (n_panels,) or (k, n_panels); the
-    caller multiplies by the half-widths.
+    `left` holds the n panels' left ends, shape (n,), or those of m
+    batched integrals, shape (m, n); `half` holds their half-widths with
+    a trailing axis of one, shape (n, 1) or (m, n, 1), or is one for all
+    panels.  Every node of every panel goes to `f` in one array, so `f`
+    is called exactly once, on nodes of shape (n*order,) or
+    (m, n*order).  `f` returns one value per node, or a (k, ...) stack of
+    k integrands on the nodes.  Returns the unscaled sum over each panel's
+    nodes, shape left.shape or (k,) + left.shape; the caller multiplies by
+    the half-widths.  Each integral's (n, order) block is reduced by its
+    own product with the weights, so a batched integral's sums are the
+    doubles of its one-integral call.
     """
     nodes, weights = gauss_legendre_rule(order)
-    x = (left[:, None] + half * (nodes + 1.0)).ravel()
+    x = (left[..., None] + half * (nodes + 1.0)).reshape(left.shape[:-1] + (-1,))
     vals = np.asarray(f(x), dtype=float)
-    if vals.shape[-1:] != x.shape:
+    if vals.shape[-x.ndim:] != x.shape:
         vals = np.broadcast_to(vals, x.shape)
     finite = np.isfinite(vals).reshape(-1, x.size).all(axis=0)
     if not finite.all():
-        raise QuadratureError(f"integrand is non-finite at x = {x[~finite][0]!r}")
-    return vals.reshape(vals.shape[:-1] + (-1, order)) @ weights
+        raise QuadratureError(f"integrand is non-finite at x = {x.ravel()[~finite][0]!r}")
+    return vals.reshape(vals.shape[:vals.ndim - x.ndim] + left.shape + (order,)) @ weights
 
 
-def integrate_panels(f, scheme: QuadratureScheme) -> float:
+def integrate_panels(f, scheme: QuadratureScheme):
     """Sum Gauss-Legendre panel integrals over consecutive breakpoints.
 
     `f` must accept a numpy array of abscissae and return matching values;
     it is called once, on the nodes of all panels together.  An `f` that
     returns a (k, n) stack of integrands gives an array of k integrals,
-    each summed exactly as a one-row integrand would be.
+    each summed exactly as a one-row integrand would be.  A batched scheme
+    of m integrals hands `f` the nodes as m rows and gives m integrals,
+    shape (m,) or (k, m), each the double of its one-integral scheme.
     """
-    edges = np.array(scheme.breakpoints)
+    edges = np.array(scheme.breakpoints).T
     half = 0.5 * np.diff(edges)
-    sums = _panel_sums(f, edges[:-1], half[:, None], scheme.panel_order)
-    if sums.ndim == 1:
-        return math.fsum((half * sums).tolist())
-    return np.array([math.fsum(row) for row in (half * sums).tolist()])
+    sums = half * _panel_sums(f, edges[..., :-1], half[..., None], scheme.panel_order)
+    totals = np.array([math.fsum(row) for row in sums.reshape(-1, sums.shape[-1]).tolist()])
+    return float(totals[0]) if sums.ndim == 1 else totals.reshape(sums.shape[:-1])
 
 
-def radial_scheme(params: ModelParams) -> QuadratureScheme:
+def radial_scheme(params) -> QuadratureScheme:
     """Panels for semi-infinite r-space observable integrals.
 
     Breakpoints at the region boundaries (piecewise-analytic integrands),
     then one decay length 1/alpha per panel out to 40 decay lengths past
     the outer boundary, where the exp(-2*alpha*r) envelope puts the
-    dropped tail far below every tolerance used here.
+    dropped tail far below every tolerance used here.  A sequence of
+    parameter records, all equal or all unequal ranges, gives the batched
+    scheme of their integrals.
     """
-    pts = [0.0]
-    if not params.equal_range:
-        pts.append(params.delta)
-    pts.append(params.range_sum)
+    if isinstance(params, ModelParams):
+        return QuadratureScheme(PANEL_ORDER, _radial_breakpoints(params))
+    return QuadratureScheme(PANEL_ORDER, tuple(zip(*map(_radial_breakpoints, params), strict=True)))
+
+
+def _radial_breakpoints(params: ModelParams) -> tuple:
+    outer = params.range_sum
     width = 1.0 / params.alpha
-    pts.extend(params.range_sum + i * width for i in range(1, 41))
-    return QuadratureScheme(PANEL_ORDER, tuple(pts))
+    inner = () if params.equal_range else (params.delta,)
+    return (0.0, *inner, outer, *(outer + i * width for i in range(1, 41)))
 
 
 def momentum_scheme(params: ModelParams) -> QuadratureScheme:

@@ -74,8 +74,8 @@ def _series_table(pieces, leading_power, n_terms, step=1):
 
 
 def _horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
@@ -118,9 +118,9 @@ def _split(x: np.ndarray, series, closed) -> np.ndarray:
     """series(x) where |x| < _SERIES_CUT, closed(x) elsewhere."""
     small = np.abs(x) < _SERIES_CUT
     out = np.empty_like(x)
-    if np.any(small):
+    if small.any():
         out[small] = series(x[small])
-    if not np.all(small):
+    if not small.all():
         out[~small] = closed(x[~small])
     return out
 
@@ -141,7 +141,7 @@ def _checked_argument(x, zero_ok=True):
     if isinstance(x, float):
         finite, low = math.isfinite(x), (x < 0 if zero_ok else x <= 0)
     else:
-        finite, low = np.all(np.isfinite(x)), np.any(x < 0 if zero_ok else x <= 0)
+        finite, low = np.isfinite(x).all(), (x < 0 if zero_ok else x <= 0).any()
     if not finite:
         raise ValueError("argument must be finite")
     if low:

@@ -32,7 +32,12 @@ b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
 same sign.  The inner D-wave dips below zero whenever b1 != b2.
 
 `uw_coordinate` evaluates both channels over one region split;
-`u_coordinate` and `w_coordinate` are its one-row cases.
+`u_coordinate` and `w_coordinate` are its one-row cases.  Each branch is
+a set of r-independent coefficients of one record, computed with scalar
+math, times a profile in x = alpha*r; the profiles take the coefficients
+as scalars or as one value per point.  So `uw_coordinate` also takes a
+sequence of records with one row of radii each, and runs every region's
+profiles once for all of them; one record is the one-row case.
 
 Branch evaluators are exposed individually (`branch_value`) because the
 continuity checks compare two adjacent formulas at their shared boundary;
@@ -97,31 +102,47 @@ def _xi2(x, d=0):
     return xa * mod_sph_bessel_i(2, xa)
 
 
-def _xk2(x, d=0):
-    """x * k2(x) = exp(-x)*(1 + 3/x + 3/x^2), or its derivative; needs x > 0."""
-    xa = np.asarray(x, dtype=float)
+def _xk2(x, e, d=0):
+    """x * k2(x) = e*(1 + 3/x + 3/x^2) with e = exp(-x), or its derivative; needs x > 0."""
     if d:
-        return -np.exp(-xa) * (1.0 + 3.0 / xa + 6.0 / (xa * xa) + 6.0 / (xa * xa * xa))
-    return np.exp(-xa) * (1.0 + 3.0 / xa + 3.0 / (xa * xa))
+        return -e * (1.0 + 3.0 / x + 6.0 / (x * x) + 6.0 / (x * x * x))
+    return e * (1.0 + 3.0 / x + 3.0 / (x * x))
 
 
 def _g(x, d=0):
     """g(x), or its derivative g'(x) = (x k2)'(x) + 6/x^3."""
     xa = np.asarray(x, dtype=float)
     if d:
-        return _split(xa, lambda s: s * _horner(_DG_SERIES, s), lambda s: _xk2(s, 1) + 6.0 / (s * s * s))
-    return _split(xa, lambda s: s * s * _horner(_G_SERIES, s), lambda s: _xk2(s) - 3.0 / (s * s) + 0.5)
+        return _split(xa, lambda s: s * _horner(_DG_SERIES, s),
+                      lambda s: _xk2(s, np.exp(-s), 1) + 6.0 / (s * s * s))
+    return _split(xa, lambda s: s * s * _horner(_G_SERIES, s),
+                  lambda s: _xk2(s, np.exp(-s)) - 3.0 / (s * s) + 0.5)
 
 
 # ---------------------------------------------------------------------------
-# the six analytic branches: d = 0 gives the value, d = 1 the exact
-# r-derivative from the same coefficients; alpha**d is dx/dr (1.0 for d = 0)
+# the three regions' branches, each split in two: r-independent
+# coefficients of one record (scalar math), and profiles in x = alpha*r
+# that take the coefficients as scalars or as one value per point, so
+# one profile call serves many records.  d = 0 gives the value, d = 1 the
+# exact r-derivative from the same coefficients; alpha**d, dx/dr, is
+# folded into the scales.  A channel not asked gets zeros for coefficients,
+# and each profile returns one row per channel asked.
 
-def _u_inner(r, p: ModelParams, d=0):
+def _inner_coefficients(p: ModelParams, d, channels):
     al = p.alpha
-    c = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_k(0, al * p.b2)
-    x = al * np.asarray(r, dtype=float)
-    return c * al * np.cosh(x) if d else c * np.sinh(x)
+    u = w = 0.0
+    if "u" in channels:
+        u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_k(0, al * p.b2) * al**d
+    if "w" in channels:
+        # minus sign: fixed by continuity with the middle branch at r = b2-b1
+        # and confirmed by the numerical transform of the momentum amplitude
+        w = -p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_k(1, al * p.b2) * al**d
+    return u, w
+
+
+def _inner(x, d, channels, u_scale, w_scale):
+    return [u_scale * (np.cosh(x) if d else np.sinh(x)) if channel == "u" else w_scale * _xi2(x, d)
+            for channel in channels]
 
 
 def _gap(p: ModelParams) -> float:
@@ -129,69 +150,82 @@ def _gap(p: ModelParams) -> float:
     return 0.0 if p.equal_range else p.delta
 
 
-def _u_middle(r, p: ModelParams, d=0):
+def _middle_coefficients(p: ModelParams, d, channels):
     al = p.alpha
-    x = al * np.asarray(r, dtype=float)
     cosh_gap = 2.0 * math.sinh(0.5 * al * _gap(p)) ** 2  # cosh(alpha*delta) - 1
     es = math.exp(-al * p.range_sum)
-    if d:
-        bracket = (1.0 + cosh_gap) * np.exp(-x) - es * np.cosh(x)
-    else:
-        bracket = -np.expm1(-x) - cosh_gap * np.exp(-x) - es * np.sinh(x)
-    return p.A / (2.0 * al * al * p.b1 * p.b2) * al**d * bracket
-
-
-def _u_outer(r, p: ModelParams, d=0):
-    al = p.alpha
-    c = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2)
-    return c * (-al) ** d * np.exp(-al * np.asarray(r, dtype=float))
-
-
-def _w_inner(r, p: ModelParams, d=0):
-    al = p.alpha
-    # minus sign: fixed by continuity with the middle branch at r = b2-b1
-    # and confirmed by the numerical transform of the momentum amplitude
-    c = -p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_k(1, al * p.b2)
-    return c * al**d * _xi2(al * np.asarray(r, dtype=float), d)
-
-
-def _w_middle(r, p: ModelParams, d=0):
-    al = p.alpha
-    x = al * np.asarray(r, dtype=float)
+    u = (p.A / (2.0 * al * al * p.b1 * p.b2) * al**d, cosh_gap, es)
+    if "w" not in channels:
+        return (*u, 0.0, 0.0, 0.0, 0.0, 0.0)
     b1b2 = p.b1 * p.b2
     y = al * _gap(p)
     ab_m1 = al * al * b1b2 - 1.0
-    # r-independent coefficients, grouped so near-equal ranges do not
+    # r-independent w coefficients, grouped so near-equal ranges do not
     # cancel: each piece is explicitly O(y^2) or better where it must be.
     # Ranges equal within EPS_REGION take y = 0, which drops the pole:
     # r = 0 lies in this region then, where pole / x^2 would divide by 0.
     const = 2.0 * y**2 - 8.0 * ab_m1 * math.sinh(0.5 * y) ** 2 - 4.0 * y * math.sinh(y)
     pole = 24.0 * y * _sinh_minus(y) + 48.0 * ab_m1 * _sinh_sq_minus(0.5 * y) - 3.0 * y**4
-    growth = math.exp(-al * p.range_sum) * (al * al * b1b2 + al * p.range_sum + 1.0)
+    growth = es * (al * al * b1b2 + al * p.range_sum + 1.0)
     mix = ab_m1 * math.cosh(y) + y * math.sinh(y)
-    if d:
-        bracket = 2.0 * x + 8.0 * mix * _g(x, 1) - 8.0 * growth * _xi2(x, 1)
-    else:
-        bracket = const + x * x + 8.0 * mix * _g(x) - 8.0 * growth * _xi2(x)
-    if pole != 0.0:
-        bracket = bracket + (-2.0 * pole / (x * x * x) if d else pole / (x * x))
-    return p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d * bracket
+    return (*u, p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d, const, pole, growth, mix)
 
 
-def _w_outer(r, p: ModelParams, d=0):
+def _middle(x, d, channels, u_scale, cosh_gap, es, w_scale, const, pole, growth, mix):
+    rows = []
+    for channel in channels:
+        if channel == "u" and d:
+            bracket = (1.0 + cosh_gap) * np.exp(-x) - es * np.cosh(x)
+        elif channel == "u":
+            bracket = -np.expm1(-x)
+            if cosh_gap.any():  # 0.0 at equal ranges
+                bracket = bracket - cosh_gap * np.exp(-x)
+            bracket = bracket - es * np.sinh(x)
+        else:
+            if d:
+                bracket = 2.0 * x + 8.0 * mix * _g(x, 1) - 8.0 * growth * _xi2(x, 1)
+            else:
+                bracket = const + x * x + 8.0 * mix * _g(x) - 8.0 * growth * _xi2(x)
+            if pole.any():
+                xp = np.where(pole != 0.0, x, 1.0)  # keeps r = 0 of equal ranges finite
+                bracket = bracket + (-2.0 * pole / (xp * xp * xp) if d else pole / (xp * xp))
+        rows.append((u_scale if channel == "u" else w_scale) * bracket)
+    return rows
+
+
+def _outer_coefficients(p: ModelParams, d, channels):
     al = p.alpha
-    c = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2)
-    return c * al**d * _xk2(al * np.asarray(r, dtype=float), d)
+    u = w = 0.0
+    if "u" in channels:
+        u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2) * (-al) ** d
+    if "w" in channels:
+        w = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2) * al**d
+    return u, w
 
 
-_BRANCHES = {
-    ("u", Region.INNER): _u_inner,
-    ("u", Region.MIDDLE): _u_middle,
-    ("u", Region.OUTER): _u_outer,
-    ("w", Region.INNER): _w_inner,
-    ("w", Region.MIDDLE): _w_middle,
-    ("w", Region.OUTER): _w_outer,
+def _outer(x, d, channels, u_scale, w_scale):
+    e = np.exp(-x)  # shared by both channels
+    return [u_scale * e if channel == "u" else w_scale * _xk2(x, e, d) for channel in channels]
+
+
+_REGIONS = {
+    Region.INNER: (_inner_coefficients, _inner),
+    Region.MIDDLE: (_middle_coefficients, _middle),
+    Region.OUTER: (_outer_coefficients, _outer),
 }
+
+
+def _branch(channel: str, region: Region):
+    coefficients, profiles = _REGIONS[region]
+
+    def branch(r, p: ModelParams, d=0):
+        x = p.alpha * np.asarray(r, dtype=float)
+        return profiles(x, d, (channel,), *np.array(coefficients(p, d, (channel,))))[0]
+
+    return branch
+
+
+_BRANCHES = {(channel, region): _branch(channel, region) for channel in ("u", "w") for region in Region}
 
 
 def branch_value(channel: str, region: Region, r, params: ModelParams):
@@ -208,26 +242,46 @@ def branch_value(channel: str, region: Region, r, params: ModelParams):
     return f(r, params)
 
 
-def _piecewise(channels: tuple, r, params: ModelParams):
-    """Rows of the channels' values at r, from one validation and one region split."""
+def _piecewise(channels: tuple, r, params):
+    """Rows of the channels' values at r, from one validation and one region split.
+
+    `params` is one record, or a sequence of records, one per entry of r's
+    leading axis: each region's profiles then run once for all records,
+    and give every record the doubles of its one-record call.
+    """
     ra = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(ra)):
+    if not np.isfinite(ra).all():
         raise ValueError("r must be finite")
-    if np.any(ra < 0):
+    if (ra < 0).any():
         raise ValueError("r must be >= 0")
-    r1 = np.atleast_1d(ra)
-    out = np.empty((len(channels),) + r1.shape)
-    for region, mask in zip(Region, _region_masks(r1, params)):
-        if np.any(mask):
-            rm = r1[mask]
-            for row, channel in zip(out, channels):
-                row[mask] = _BRANCHES[(channel, region)](rm, params)
-    return out[:, 0] if ra.ndim == 0 else out
+    batch = not isinstance(params, ModelParams)
+    records = tuple(params) if batch else (params,)
+    if batch and not (ra.ndim and len(ra) == len(records)):
+        raise ValueError(f"r needs a leading axis of {len(records)} records, got shape {ra.shape}")
+    r2 = ra.reshape(len(records), -1)
+    out = np.empty((len(channels),) + r2.shape)
+    for region, mask in zip(Region, _region_masks(r2, records if batch else params)):
+        counts = mask.sum(axis=1).tolist()
+        present = [i for i, n in enumerate(counts) if n]
+        if not present:
+            continue
+        coefficients, profiles = _REGIONS[region]
+        # alpha and the coefficients, one column per record: one record's
+        # as scalars, several records' repeated over each record's points
+        columns = np.array([(records[i].alpha, *coefficients(records[i], 0, channels)) for i in present]).T
+        alpha, *coefs = np.repeat(columns, [counts[i] for i in present], axis=1) if batch else columns[:, 0]
+        for row, values in zip(out, profiles(alpha * r2[mask], 0, channels, *coefs)):
+            row[mask] = values
+    return out.reshape((len(channels),) + ra.shape)
 
 
-def uw_coordinate(r, params: ModelParams):
+def uw_coordinate(r, params):
     """u(r) and w(r) stacked, shape (2,) + shape(r): the doubles of
-    u_coordinate and w_coordinate from one shared region split."""
+    u_coordinate and w_coordinate from one shared region split.
+
+    `params` may also be a sequence of m records, with r of shape (m, ...)
+    holding each record's radii: one call then evaluates every record.
+    """
     return _piecewise(("u", "w"), r, params)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -231,6 +232,64 @@ def test_branches_solve_radial_equation(b1, b2, alpha):
                 assert abs(d2 - d1 - integral) <= 5e-11 * max(abs(d1), abs(d2)), (channel, region, r1)
 
 
+# j_l(z) as terms c * z^p * trig(z): the spherical Bessel functions' trig expansion
+_J_TRIG = {
+    0: [(1.0, -1, "sin")],
+    1: [(1.0, -2, "sin"), (-1.0, -1, "cos")],
+    2: [(3.0, -3, "sin"), (-1.0, -1, "sin"), (-3.0, -2, "cos")],
+}
+
+
+def _triple_bessel_source(l, lp, b1, b2, r):
+    """r (2/pi) Integral_0^inf k^2 j_l(b1 k) j_l(b2 k) j_lp(r k) dk, by scipy.
+
+    The head [0, K] is an ordinary adaptive quadrature.  Past K each
+    product of three trig expansions is a sum of k^p cos(w k) and
+    k^p sin(w k) terms, with w = |+-b1 +- b2 +- r|, integrated to infinity
+    with quad's Fourier weights.
+    """
+    from scipy.integrate import quad
+    from scipy.special import spherical_jn
+
+    cut = 4.0 * math.pi / min(b1, b2, r)
+    head = quad(lambda k: k * k * spherical_jn(l, b1 * k) * spherical_jn(l, b2 * k) * spherical_jn(lp, r * k),
+                0.0, cut, limit=400, epsabs=1e-14, epsrel=1e-13)[0]
+    terms = {}
+    for factors in itertools.product(_J_TRIG[l], _J_TRIG[l], _J_TRIG[lp]):
+        c, p = 1.0, 2
+        phases = []
+        for (cf, pf, trig), a in zip(factors, (b1, b2, r)):
+            c, p = c * cf * a**pf, p + pf
+            # cos(a k) = (e^{iak} + e^{-iak})/2, sin(a k) = (e^{iak} - e^{-iak})/(2i)
+            phases.append([(0.5, a), (0.5, -a)] if trig == "cos" else [(-0.5j, a), (0.5j, -a)])
+        for (z1, w1), (z2, w2), (z3, w3) in itertools.product(*phases):
+            z, w = c * z1 * z2 * z3, w1 + w2 + w3
+            # Re(z e^{iwk}) = Re z cos(|w| k) - sign(w) Im z sin(|w| k)
+            terms[(abs(w), p, "cos")] = terms.get((abs(w), p, "cos"), 0.0) + z.real
+            terms[(abs(w), p, "sin")] = terms.get((abs(w), p, "sin"), 0.0) - z.imag * math.copysign(1.0, w)
+    tail = 0.0
+    for (w, p, trig), coef in terms.items():
+        if coef:
+            assert w > 1e-9, "a zero frequency: r sits on a region boundary"
+            tail += coef * quad(lambda k: k**p, cut, np.inf, weight=trig, wvar=w, limlst=100)[0]
+    return r * (2.0 / math.pi) * (head + tail)
+
+
+@pytest.mark.parametrize("b1, b2, r", [
+    (1.0, 2.0, 1.5), (1.0, 2.0, 2.7), (1.475, 1.475, 1.0), (0.8613, 1.0119, 0.5), (0.8613, 1.0119, 1.8),
+    (1.0, 2.0, 0.5), (1.0, 2.0, 3.5), (1.475, 1.475, 3.2),
+])
+def test_sources_are_triple_bessel_integrals(b1, b2, r):
+    # S_C and S_T of the radial equation are the transforms of the form-factor
+    # products: u from j0 j0 and j0, w from j1 j1 and j2 (zero outside the
+    # middle region).  Worst measured error 3.7e-10 of 1/(2 b1 b2).
+    p = _params(b1, b2)
+    region = region_of(r, p)
+    for channel, l, lp in (("u", 0, 0), ("w", 1, 2)):
+        got = _triple_bessel_source(l, lp, b1, b2, r)
+        assert abs(got - _source(channel, region, p, r)) <= 1e-8 / (2.0 * b1 * b2), (channel, region)
+
+
 def test_derivative_rejects_nonpositive_radius():
     p = _params(1.475, 1.475)
     with pytest.raises(ValueError):
@@ -267,15 +326,21 @@ def test_scalar_array_consistency():
         assert vec_w[i] == w_coordinate(float(ri), p)
 
 
-@pytest.mark.parametrize(
-    "b1, b2, alpha",
-    [(1.475, 1.475, 0.23165), (1.0, 2.0, 0.23165), (0.8613, 1.0119, 0.4415), (1.2, 1.2 + 5e-10, 0.3)],
-)
+# equal, unequal and nearly equal ranges (equal within EPS_REGION)
+UW_POINTS = [(1.475, 1.475, 0.23165), (1.0, 2.0, 0.23165), (0.8613, 1.0119, 0.4415), (1.2, 1.2 + 5e-10, 0.3)]
+
+
+def _boundary_radii(p):
+    """Radii on, next to and between the region boundaries of p."""
+    inner, outer = p.delta, p.range_sum
+    return np.array([0.0, 0.5 * inner, inner, np.nextafter(inner, 1.0), 0.5 * (inner + outer),
+                     outer, np.nextafter(outer, 9.0), 2.0 * outer, 12.0])
+
+
+@pytest.mark.parametrize("b1, b2, alpha", UW_POINTS)
 def test_uw_coordinate_rows_equal_single_channel_calls(b1, b2, alpha):
     p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5)
-    inner, outer = p.delta, p.range_sum
-    r = np.array([0.0, 0.5 * inner, inner, np.nextafter(inner, 1.0), 0.5 * (inner + outer),
-                  outer, np.nextafter(outer, 9.0), 2.0 * outer, 12.0])
+    r = _boundary_radii(p)
     expected = {Region.MIDDLE, Region.OUTER} if p.equal_range else set(Region)
     assert {region_of(x, p) for x in r.tolist()} == expected
     uw = uw_coordinate(r, p)
@@ -294,6 +359,20 @@ def test_uw_coordinate_rows_equal_single_channel_calls(b1, b2, alpha):
                 f(bad, p)
             messages.add(str(err.value))
         assert len(messages) == 1
+
+
+def test_uw_coordinate_batch_rows_equal_single_records():
+    # one call over records of equal and unequal ranges, one row of radii
+    # each: every region's profiles run once for the records with points there
+    records = [ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5) for b1, b2, alpha in UW_POINTS]
+    rows = np.array([_boundary_radii(p) for p in records])
+    batch = uw_coordinate(rows, records)
+    assert batch.shape == (2,) + rows.shape
+    for i, p in enumerate(records):
+        assert batch[:, i].tolist() == uw_coordinate(rows[i], p).tolist()
+    assert uw_coordinate(rows[1:2], records[1:2]).tolist() == batch[:, 1:2].tolist()
+    with pytest.raises(ValueError, match="leading axis"):
+        uw_coordinate(rows[:2], records)
 
 
 def test_branch_value_rejects_unknown_channel():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
@@ -123,17 +124,44 @@ def test_smallest_ratio_root_at_other_alphas(alpha, r_rms, q, want, other):
 
 
 def test_iterations_count_moment_evaluations(monkeypatch):
-    calls = []
+    # a batched call counts as its number of records
+    records = []
     moments = fitting._moments
 
-    def counted(*args):
-        calls.append(args)
-        return moments(*args)
+    def counted(b1, b2, alpha):
+        records.append(len(b1) if np.ndim(b1) else 1)
+        return moments(b1, b2, alpha)
 
     monkeypatch.setattr(fitting, "_moments", counted)
     res = fit_parameters(FitTargets(r_rms=2.08, Q=0.286), ALPHA)
-    assert res.iterations == len(calls) <= MAX_EVALUATIONS
-    assert len(calls) >= fitting._NODES
+    assert res.iterations == sum(records) <= MAX_EVALUATIONS
+    assert sum(records) >= fitting._NODES
+
+
+def test_node_sweep_is_batched(monkeypatch):
+    # the nodes' records come from one radial-wavefunction call and one
+    # integral per block of records; the polish evaluates one record a call
+    import sepdeut.observables as obs
+
+    sizes = {"uw": [], "integrals": []}
+    uw, integrate = obs.uw_coordinate, obs.integrate_panels
+
+    def uw_counted(r, p):
+        sizes["uw"].append(1 if isinstance(p, ModelParams) else len(p))
+        return uw(r, p)
+
+    def integrate_counted(f, scheme):
+        first = scheme.breakpoints[0]
+        sizes["integrals"].append(len(first) if isinstance(first, tuple) else 1)
+        return integrate(f, scheme)
+
+    monkeypatch.setattr(obs, "uw_coordinate", uw_counted)
+    monkeypatch.setattr(obs, "integrate_panels", integrate_counted)
+    res = fit_parameters(FitTargets(r_rms=2.08, Q=0.286), ALPHA)
+    sweep = [min(obs._BLOCK, fitting._NODES - i) for i in range(0, fitting._NODES, obs._BLOCK)]
+    for calls in sizes.values():
+        assert calls[:len(sweep)] == sweep
+        assert calls[len(sweep):] == [1] * (res.iterations - fitting._NODES)
 
 
 @pytest.mark.parametrize("r_rms, q", [(2.0, 1e-6), (2.0, 1e-8), (2.08, 1e-6)])
@@ -176,10 +204,9 @@ def test_fit_scales_with_the_range(r_rms, q, alpha, lam):
     assert res.ratio == pytest.approx(base.ratio, rel=1e-14, abs=0.0)
 
 
-def test_near_tangent_targets():
-    # Along the r_rms = 2.08 curve Q(b) has a largest value; there the two
-    # roots merge and past it no target is met.
-    r_rms = 2.08
+def _near_tangent_edge(r_rms):
+    """(b, Q) where Q(b) along the r_rms curve is largest: there the two
+    roots merge, and past it no target is met."""
 
     def q_on_curve(b):
         m = _moments(b, b, ALPHA)
@@ -188,11 +215,29 @@ def test_near_tangent_targets():
 
     edge = minimize_scalar(lambda b: -q_on_curve(b), bounds=(1.75, 1.9), method="bounded",
                            options={"xatol": 1e-9})
-    q_edge = -edge.fun
+    return edge.x, -edge.fun
+
+
+def test_near_tangent_targets():
+    r_rms = 2.08
+    b_edge, q_edge = _near_tangent_edge(r_rms)
     assert 0.768 < q_edge < 0.7682
     res = fit_parameters(FitTargets(r_rms=r_rms, Q=q_edge - 1e-6), ALPHA)
     assert res.converged
-    assert res.b == pytest.approx(edge.x, abs=1e-3)
+    assert res.b == pytest.approx(b_edge, abs=1e-3)
     res = fit_parameters(FitTargets(r_rms=r_rms, Q=q_edge + 1e-3), ALPHA)
     assert not res.converged
     assert res.iterations <= MAX_EVALUATIONS
+
+
+@pytest.mark.parametrize("excess", [1e-8, 5e-7])
+def test_just_past_the_near_tangent_edge(excess):
+    # the interpolant's roots have left the real axis; the minimum of |F| at
+    # the merge point still meets the targets within TOLERANCE (residual
+    # 5.4e-9 and 2.7e-7), one record past the nodes
+    b_edge, q_edge = _near_tangent_edge(2.08)
+    res = fit_parameters(FitTargets(r_rms=2.08, Q=q_edge + excess), ALPHA)
+    assert res.converged
+    assert res.residual_norm <= fitting.TOLERANCE
+    assert res.b == pytest.approx(b_edge, abs=1e-6)
+    assert res.iterations == fitting._NODES + 1

@@ -8,6 +8,8 @@ from sepdeut.fitting import FitTargets, fit_parameters
 from sepdeut.model import ModelParams
 from sepdeut.observables import (
     ObservablesReport,
+    _moments,
+    _rms_core,
     asymptotic_normalisations,
     ds_ratio,
     probabilities_closed,
@@ -274,6 +276,22 @@ def test_report_evaluates_the_radial_wavefunctions_once(monkeypatch):
     monkeypatch.setattr(obs, "uw_coordinate", lambda r, p: calls.append(r) or fn(r, p))
     report(_solved_params())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.23165, 1.0, 3.0])
+def test_batched_records_equal_one_record_calls(alpha):
+    # alpha*b on a log grid, and on both sides of the series cuts of the
+    # closed norms (0.3, 0.45) and of the branch profiles (0.5)
+    s = sorted(np.geomspace(1e-3, 50.0, 17).tolist() + [0.29, 0.31, 0.44, 0.46, 0.49, 0.51])
+    bs = [x / alpha for x in s]
+
+    def fields(m):
+        return m.N_S, m.N_D, m.R_S, m.R_D, m.X, m.path
+
+    assert [fields(m) for m in _moments(bs, bs, alpha)] == [fields(_moments(b, b, alpha)) for b in bs]
+    # one _rms_core call over all of them, more records than a block
+    units = [ModelParams(b1=b, b2=b, alpha=alpha, A=1.0, B=1.0) for b in bs]
+    assert _rms_core(units).T.tolist() == [_rms_core(unit).tolist() for unit in units]
 
 
 def test_report_evaluates_the_asymptotic_normalisations_once(monkeypatch):

@@ -127,6 +127,37 @@ def test_nonfinite_integrand_is_reported():
         integrate_panels(lambda x: np.where(x > 1.0, np.nan, 1.0), scheme)
 
 
+def test_batched_scheme_sums_each_integral_as_its_own_scheme():
+    # one integrand call for m integrals; each equals its one-integral scheme
+    for b1s in ([1.0, 1.7, 3.0], [0.5, 0.5, 0.5]):  # equal ranges, then unequal
+        ps = [ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
+              for b1, b2, alpha in zip(b1s, (1.0, 1.7, 3.0), (0.25, 0.5, 1.3))]
+        scheme = radial_scheme(ps)
+        assert len(scheme.breakpoints) == len(radial_scheme(ps[0]).breakpoints)
+        shapes = []
+
+        def f(r):
+            shapes.append(r.shape)
+            return np.stack([r * np.exp(-r), r * r * np.exp(-r)])
+
+        got = integrate_panels(f, scheme)
+        assert shapes == [(len(ps), (len(scheme.breakpoints) - 1) * scheme.panel_order)]
+        assert got.shape == (2, len(ps))
+        for i, p in enumerate(ps):
+            assert got[:, i].tolist() == integrate_panels(f, radial_scheme(p)).tolist()
+
+
+def test_batched_scheme_validation():
+    assert QuadratureScheme(4, ((0.0, 0.0), (1.0, 2.0))).breakpoints == ((0.0, 0.0), (1.0, 2.0))
+    with pytest.raises(ValueError):
+        QuadratureScheme(4, ((0.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(ValueError):
+        QuadratureScheme(4, ((0.0, 0.0), (1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError):
+        radial_scheme([ModelParams(b1=1.0, b2=1.0, alpha=0.25, A=1.0, B=1.0),
+                       ModelParams(b1=1.0, b2=2.0, alpha=0.25, A=1.0, B=1.0)])
+
+
 def test_radial_scheme_breakpoints():
     p = ModelParams(b1=1.0, b2=2.0, alpha=0.25, A=1.0, B=1.0)
     s = radial_scheme(p)
