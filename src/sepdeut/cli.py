@@ -24,8 +24,10 @@ condition at the requested ratio.
 
 CSV output is deterministic: floats are written with repr, which
 round-trips exactly, so identical inputs give byte-identical files.
-Each CSV column is evaluated with one call over the whole grid, and
-every value is bit-identical to the per-point evaluator's at that point.
+The u and w columns come from one `uw_coordinate` call over the whole
+grid, the momentum columns from one `form_factors` and one `uw_momentum`
+call; every value is bit-identical to the same evaluator's at that point
+alone.
 All evaluation happens before the output is opened, so a failed run
 leaves no partial file.
 """
@@ -52,8 +54,8 @@ from .observables import (
 )
 from .quadrature import QuadratureError
 from .transform_oracle import TransformConvergenceError, validate_transforms
-from .wf_coordinate import branch_value, du_dr, dw_dr, u_coordinate, w_coordinate
-from .wf_momentum import form_factor_central, form_factor_tensor, u_momentum, w_momentum
+from .wf_coordinate import branch, uw_coordinate
+from .wf_momentum import form_factors, uw_momentum
 
 DEFAULT_B = 1.475
 DEFAULT_ALPHA = 0.23165
@@ -140,8 +142,10 @@ def _float_grid(stop: float, step: float) -> np.ndarray:
         raise ValueError(f"grid step must be finite and > 0, got {step!r}")
     if not (math.isfinite(stop) and stop >= 0):
         raise ValueError(f"grid end must be finite and >= 0, got {stop!r}")
-    n = math.floor(stop / step * (1.0 + 1e-12))
-    return np.arange(n + 1) * step
+    try:  # a count that overflows to inf, or too large for numpy to allocate
+        return np.arange(math.floor(stop / step * (1.0 + 1e-12)) + 1) * step
+    except (OverflowError, MemoryError, ValueError):
+        raise ValueError(f"grid to {stop!r} in steps of {step!r} has too many points") from None
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -172,7 +176,7 @@ def cmd_wavefunctions(args) -> int:
                     raise ValueError("r_fm is non-finite")
             except ValueError as exc:
                 raise ValueError(f"overlay file {args.overlay!r}, data row {i + 1}: {exc}") from None
-    columns = [_reprs(grid), _reprs(u_coordinate(grid, p)), _reprs(w_coordinate(grid, p))]
+    columns = [_reprs(grid), *map(_reprs, uw_coordinate(grid, p))]
     columns.append(np.select(_region_masks(grid, p), [reg.value for reg in Region], default="").tolist())
     if overlay_fields:
         near = [overlay_rows[int(np.argmin(np.abs(overlay_r - r)))] for r in grid.tolist()]
@@ -187,9 +191,7 @@ def cmd_wavefunctions(args) -> int:
 def cmd_momentum(args) -> int:
     p = _resolve_params(args)
     grid = _float_grid(args.k_max, args.dk)
-    columns = [_reprs(grid)] + [
-        _reprs(f(grid, p)) for f in (form_factor_central, form_factor_tensor, u_momentum, w_momentum)
-    ]
+    columns = [_reprs(grid), *map(_reprs, form_factors(grid, p)), *map(_reprs, uw_momentum(grid, p))]
     with _open_out(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["k_inv_fm", "g_C", "g_T", "u_k", "w_k"])
@@ -233,13 +235,10 @@ def cmd_validate(args) -> int:
         boundaries.append((p.delta, Region.INNER, Region.MIDDLE))
     boundaries.append((p.range_sum, Region.MIDDLE, Region.OUTER))
     for r0, lo, hi in boundaries:
-        for channel in ("u", "w"):
-            a = float(branch_value(channel, lo, r0, p))
-            b = float(branch_value(channel, hi, r0, p))
+        # per channel: the value below and above r0, then the slope below and above
+        values = zip(*(branch(region, r0, p, d).tolist() for d in (0, 1) for region in (lo, hi)))
+        for channel, (a, b, da, db) in zip(("u", "w"), values):
             checks.append((f"continuity {channel} at r={r0:.6g}", _rel(a, b), 1e-10))
-            deriv = du_dr if channel == "u" else dw_dr
-            da = deriv(r0, p, lo)
-            db = deriv(r0, p, hi)
             checks.append((f"derivative {channel} at r={r0:.6g}", _rel(da, db), 1e-8))
 
     trep = validate_transforms(p)

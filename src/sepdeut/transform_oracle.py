@@ -88,7 +88,6 @@ class TransformPoint:
 
 @dataclass(frozen=True)
 class TransformReport:
-    r_grid: tuple
     max_abs_dev_u: float
     max_abs_dev_w: float
     points: tuple
@@ -179,15 +178,15 @@ def bessel_transform(params: ModelParams, r: float):
     return tuple(values)
 
 
-def validate_transforms(params: ModelParams, r_grid=DEFAULT_R_GRID) -> TransformReport:
-    """Compare the piecewise u, w against the direct transform on a grid.
+def validate_transforms(params: ModelParams) -> TransformReport:
+    """Compare the piecewise u, w against the direct transform on DEFAULT_R_GRID.
 
     r = 0 is excluded by construction (the transform carries an explicit
     factor r and both sides vanish there).  Each radius is one transform
     of both channels.
     """
     points = []
-    for r in r_grid:
+    for r in DEFAULT_R_GRID:
         ur, wr = bessel_transform(params, r)
         u, w = uw_coordinate(r, params).tolist()
         points.append(
@@ -199,7 +198,6 @@ def validate_transforms(params: ModelParams, r_grid=DEFAULT_R_GRID) -> Transform
             )
         )
     return TransformReport(
-        r_grid=tuple(float(r) for r in r_grid),
         max_abs_dev_u=max(p.dev_u for p in points),
         max_abs_dev_w=max(p.dev_w for p in points),
         points=tuple(points),

@@ -31,17 +31,17 @@ numerical transform of the momentum wavefunction is negative below
 b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
 same sign.  The inner D-wave dips below zero whenever b1 != b2.
 
-`uw_coordinate` evaluates both channels over one region split;
-`u_coordinate` and `w_coordinate` are its one-row cases.  Each branch is
-a set of r-independent coefficients of one record, computed with scalar
-math, times a profile in x = alpha*r; the profiles take the coefficients
-as scalars or as one value per point.  So `uw_coordinate` also takes a
-sequence of records with one row of radii each, and runs every region's
-profiles once for all of them; one record is the one-row case.
+`uw_coordinate` evaluates u and w together over one region split.  Each
+branch is a set of r-independent coefficients of one record, computed
+with scalar math, times a profile in x = alpha*r; the profiles take the
+coefficients as scalars or as one value per point.  So `uw_coordinate`
+also takes a sequence of records with one row of radii each, and runs
+every region's profiles once for all of them; one record is the one-row
+case.
 
-Branch evaluators are exposed individually (`branch_value`) because the
-continuity checks compare two adjacent formulas at their shared boundary;
-`du_dr` and `dw_dr` give each formula's exact slope there.
+`branch` evaluates one region's formula on its own, or its exact slope,
+because the continuity checks compare two adjacent formulas at their
+shared boundary.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, Region, _region_masks, region_of
+from .model import ModelParams, Region, _region_masks
 from .specfun import (
     _SERIES_CUT,
     _horner,
@@ -125,24 +125,19 @@ def _g(x, d=0):
 # that take the coefficients as scalars or as one value per point, so
 # one profile call serves many records.  d = 0 gives the value, d = 1 the
 # exact r-derivative from the same coefficients; alpha**d, dx/dr, is
-# folded into the scales.  A channel not asked gets zeros for coefficients,
-# and each profile returns one row per channel asked.
+# folded into the scales.  Each profile returns the rows (u, w).
 
-def _inner_coefficients(p: ModelParams, d, channels):
+def _inner_coefficients(p: ModelParams, d):
     al = p.alpha
-    u = w = 0.0
-    if "u" in channels:
-        u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_k(0, al * p.b2) * al**d
-    if "w" in channels:
-        # minus sign: fixed by continuity with the middle branch at r = b2-b1
-        # and confirmed by the numerical transform of the momentum amplitude
-        w = -p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_k(1, al * p.b2) * al**d
+    u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_k(0, al * p.b2) * al**d
+    # minus sign: fixed by continuity with the middle branch at r = b2-b1
+    # and confirmed by the numerical transform of the momentum amplitude
+    w = -p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_k(1, al * p.b2) * al**d
     return u, w
 
 
-def _inner(x, d, channels, u_scale, w_scale):
-    return [u_scale * (np.cosh(x) if d else np.sinh(x)) if channel == "u" else w_scale * _xi2(x, d)
-            for channel in channels]
+def _inner(x, d, u_scale, w_scale):
+    return u_scale * (np.cosh(x) if d else np.sinh(x)), w_scale * _xi2(x, d)
 
 
 def _gap(p: ModelParams) -> float:
@@ -150,13 +145,10 @@ def _gap(p: ModelParams) -> float:
     return 0.0 if p.equal_range else p.delta
 
 
-def _middle_coefficients(p: ModelParams, d, channels):
+def _middle_coefficients(p: ModelParams, d):
     al = p.alpha
     cosh_gap = 2.0 * math.sinh(0.5 * al * _gap(p)) ** 2  # cosh(alpha*delta) - 1
     es = math.exp(-al * p.range_sum)
-    u = (p.A / (2.0 * al * al * p.b1 * p.b2) * al**d, cosh_gap, es)
-    if "w" not in channels:
-        return (*u, 0.0, 0.0, 0.0, 0.0, 0.0)
     b1b2 = p.b1 * p.b2
     y = al * _gap(p)
     ab_m1 = al * al * b1b2 - 1.0
@@ -168,44 +160,36 @@ def _middle_coefficients(p: ModelParams, d, channels):
     pole = 24.0 * y * _sinh_minus(y) + 48.0 * ab_m1 * _sinh_sq_minus(0.5 * y) - 3.0 * y**4
     growth = es * (al * al * b1b2 + al * p.range_sum + 1.0)
     mix = ab_m1 * math.cosh(y) + y * math.sinh(y)
-    return (*u, p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d, const, pole, growth, mix)
+    return (p.A / (2.0 * al * al * p.b1 * p.b2) * al**d, cosh_gap, es,
+            p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d, const, pole, growth, mix)
 
 
-def _middle(x, d, channels, u_scale, cosh_gap, es, w_scale, const, pole, growth, mix):
-    rows = []
-    for channel in channels:
-        if channel == "u" and d:
-            bracket = (1.0 + cosh_gap) * np.exp(-x) - es * np.cosh(x)
-        elif channel == "u":
-            bracket = -np.expm1(-x)
-            if cosh_gap.any():  # 0.0 at equal ranges
-                bracket = bracket - cosh_gap * np.exp(-x)
-            bracket = bracket - es * np.sinh(x)
-        else:
-            if d:
-                bracket = 2.0 * x + 8.0 * mix * _g(x, 1) - 8.0 * growth * _xi2(x, 1)
-            else:
-                bracket = const + x * x + 8.0 * mix * _g(x) - 8.0 * growth * _xi2(x)
-            if pole.any():
-                xp = np.where(pole != 0.0, x, 1.0)  # keeps r = 0 of equal ranges finite
-                bracket = bracket + (-2.0 * pole / (xp * xp * xp) if d else pole / (xp * xp))
-        rows.append((u_scale if channel == "u" else w_scale) * bracket)
-    return rows
+def _middle(x, d, u_scale, cosh_gap, es, w_scale, const, pole, growth, mix):
+    if d:
+        u = (1.0 + cosh_gap) * np.exp(-x) - es * np.cosh(x)
+        w = 2.0 * x + 8.0 * mix * _g(x, 1) - 8.0 * growth * _xi2(x, 1)
+    else:
+        u = -np.expm1(-x)
+        if cosh_gap.any():  # 0.0 at equal ranges
+            u = u - cosh_gap * np.exp(-x)
+        u = u - es * np.sinh(x)
+        w = const + x * x + 8.0 * mix * _g(x) - 8.0 * growth * _xi2(x)
+    if pole.any():
+        xp = np.where(pole != 0.0, x, 1.0)  # keeps r = 0 of equal ranges finite
+        w = w + (-2.0 * pole / (xp * xp * xp) if d else pole / (xp * xp))
+    return u_scale * u, w_scale * w
 
 
-def _outer_coefficients(p: ModelParams, d, channels):
+def _outer_coefficients(p: ModelParams, d):
     al = p.alpha
-    u = w = 0.0
-    if "u" in channels:
-        u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2) * (-al) ** d
-    if "w" in channels:
-        w = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2) * al**d
+    u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2) * (-al) ** d
+    w = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2) * al**d
     return u, w
 
 
-def _outer(x, d, channels, u_scale, w_scale):
+def _outer(x, d, u_scale, w_scale):
     e = np.exp(-x)  # shared by both channels
-    return [u_scale * e if channel == "u" else w_scale * _xk2(x, e, d) for channel in channels]
+    return u_scale * e, w_scale * _xk2(x, e, d)
 
 
 _REGIONS = {
@@ -215,51 +199,46 @@ _REGIONS = {
 }
 
 
-def _branch(channel: str, region: Region):
-    coefficients, profiles = _REGIONS[region]
-
-    def branch(r, p: ModelParams, d=0):
-        x = p.alpha * np.asarray(r, dtype=float)
-        return profiles(x, d, (channel,), *np.array(coefficients(p, d, (channel,))))[0]
-
-    return branch
-
-
-_BRANCHES = {(channel, region): _branch(channel, region) for channel in ("u", "w") for region in Region}
-
-
-def branch_value(channel: str, region: Region, r, params: ModelParams):
-    """One region's formula evaluated at r >= 0, inside its region or not.
-
-    Needed wherever two adjacent branches must be compared at a boundary;
-    ordinary evaluation should go through u_coordinate / w_coordinate,
-    which dispatch by region.
-    """
-    try:
-        f = _BRANCHES[(channel, region)]
-    except KeyError:
-        raise ValueError(f"no branch {channel!r} / {region!r}") from None
-    return f(r, params)
-
-
-def _piecewise(channels: tuple, r, params):
-    """Rows of the channels' values at r, from one validation and one region split.
-
-    `params` is one record, or a sequence of records, one per entry of r's
-    leading axis: each region's profiles then run once for all records,
-    and give every record the doubles of its one-record call.
-    """
+def _radii(r, d=0) -> np.ndarray:
+    """r as a float array, checked: finite and >= 0, and > 0 for a slope (d = 1)."""
     ra = np.asarray(r, dtype=float)
     if not np.isfinite(ra).all():
         raise ValueError("r must be finite")
     if (ra < 0).any():
         raise ValueError("r must be >= 0")
+    if d and not (ra > 0).all():
+        raise ValueError("a slope needs r > 0")
+    return ra
+
+
+def branch(region: Region, r, params: ModelParams, d=0):
+    """Rows (u, w) of one region's formula at r, inside its region or not.
+
+    Shape (2,) + shape(r).  With d = 1 the rows are the formula's exact
+    r-slopes, so passing the two regions that meet at a boundary gives the
+    one-sided values and slopes there.
+    """
+    if region not in _REGIONS or d not in (0, 1):
+        raise ValueError(f"no branch for region {region!r} and derivative order {d!r}")
+    coefficients, profiles = _REGIONS[region]
+    x = params.alpha * _radii(r, d)
+    return np.array(profiles(x, d, *np.array(coefficients(params, d))))
+
+
+def uw_coordinate(r, params):
+    """u(r) and w(r) stacked, shape (2,) + shape(r), from one region split.
+
+    `params` may also be a sequence of m records, with r of shape (m, ...)
+    holding each record's radii: each region's profiles then run once for
+    all records, and give every record the doubles of its one-record call.
+    """
+    ra = _radii(r)
     batch = not isinstance(params, ModelParams)
     records = tuple(params) if batch else (params,)
     if batch and not (ra.ndim and len(ra) == len(records)):
         raise ValueError(f"r needs a leading axis of {len(records)} records, got shape {ra.shape}")
     r2 = ra.reshape(len(records), -1)
-    out = np.empty((len(channels),) + r2.shape)
+    out = np.empty((2,) + r2.shape)
     for region, mask in zip(Region, _region_masks(r2, records if batch else params)):
         counts = mask.sum(axis=1).tolist()
         present = [i for i, n in enumerate(counts) if n]
@@ -268,52 +247,8 @@ def _piecewise(channels: tuple, r, params):
         coefficients, profiles = _REGIONS[region]
         # alpha and the coefficients, one column per record: one record's
         # as scalars, several records' repeated over each record's points
-        columns = np.array([(records[i].alpha, *coefficients(records[i], 0, channels)) for i in present]).T
+        columns = np.array([(records[i].alpha, *coefficients(records[i], 0)) for i in present]).T
         alpha, *coefs = np.repeat(columns, [counts[i] for i in present], axis=1) if batch else columns[:, 0]
-        for row, values in zip(out, profiles(alpha * r2[mask], 0, channels, *coefs)):
+        for row, values in zip(out, profiles(alpha * r2[mask], 0, *coefs)):
             row[mask] = values
-    return out.reshape((len(channels),) + ra.shape)
-
-
-def uw_coordinate(r, params):
-    """u(r) and w(r) stacked, shape (2,) + shape(r): the doubles of
-    u_coordinate and w_coordinate from one shared region split.
-
-    `params` may also be a sequence of m records, with r of shape (m, ...)
-    holding each record's radii: one call then evaluates every record.
-    """
-    return _piecewise(("u", "w"), r, params)
-
-
-def u_coordinate(r, params: ModelParams):
-    """S-channel reduced radial wavefunction u(r), vectorized over r >= 0."""
-    out = _piecewise(("u",), r, params)[0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def w_coordinate(r, params: ModelParams):
-    """D-channel reduced radial wavefunction w(r), vectorized over r >= 0."""
-    out = _piecewise(("w",), r, params)[0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _derivative(channel: str, r: float, params: ModelParams, region):
-    if not r > 0:
-        raise ValueError(f"derivative needs r > 0, got {r!r}")
-    region = region_of(r, params) if region is None else Region(region)
-    return float(_BRANCHES[(channel, region)](r, params, 1))
-
-
-def du_dr(r: float, params: ModelParams, region: Region | None = None) -> float:
-    """Exact du/dr at r > 0, from a single branch's formula.
-
-    `region` selects which branch; by default the one containing r.  One-
-    sided derivatives at a boundary are obtained by passing the two
-    adjacent regions explicitly.
-    """
-    return _derivative("u", r, params, region)
-
-
-def dw_dr(r: float, params: ModelParams, region: Region | None = None) -> float:
-    """dw/dr at r > 0; see du_dr."""
-    return _derivative("w", r, params, region)
+    return out.reshape((2,) + ra.shape)

@@ -24,7 +24,7 @@ from sepdeut.observables import (
 )
 from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, radial_scheme
 from sepdeut.transform_oracle import validate_transforms
-from sepdeut.wf_coordinate import branch_value, du_dr, dw_dr, u_coordinate, w_coordinate
+from sepdeut.wf_coordinate import branch, uw_coordinate
 
 ALPHA = 0.23165
 B_RANGE = 1.475
@@ -81,7 +81,7 @@ def test_criterion_4_observables_stable_under_doubling():
     doubled = QuadratureScheme(2 * PANEL_ORDER, radial_scheme(p).breakpoints)
 
     def integrands(r):
-        u, w = u_coordinate(r, p), w_coordinate(r, p)
+        u, w = uw_coordinate(r, p)
         return np.stack([r * r * (u * u + w * w), r * r * w * (math.sqrt(8.0) * u - w)])
 
     r2_moment, q_moment = integrate_panels(integrands, doubled)
@@ -130,11 +130,9 @@ def test_criterion_6_branch_continuity():
             boundaries.append((p.delta, Region.INNER, Region.MIDDLE))
         boundaries.append((p.range_sum, Region.MIDDLE, Region.OUTER))
         for r0, lo, hi in boundaries:
-            for channel, deriv in (("u", du_dr), ("w", dw_dr)):
-                a = float(branch_value(channel, lo, r0, p))
-                b = float(branch_value(channel, hi, r0, p))
+            values = zip(*(branch(region, r0, p, d).tolist() for d in (0, 1) for region in (lo, hi)))
+            for a, b, da, db in values:
                 worst_value = max(worst_value, abs(a - b) / max(abs(a), abs(b)))
-                da, db = deriv(r0, p, lo), deriv(r0, p, hi)
                 worst_deriv = max(worst_deriv, abs(da - db) / max(abs(da), abs(db)))
     ok = worst_value <= 1e-10 and worst_deriv <= 1e-8
     _verdict(
@@ -177,8 +175,8 @@ def test_criterion_9_equal_range_limit():
     r = np.arange(1, 49) * 0.25
     pe = ModelParams(b1=B_RANGE + d / 2, b2=B_RANGE + d / 2, alpha=ALPHA, A=1.0, B=1.0)
     pn = ModelParams(b1=B_RANGE, b2=B_RANGE + d, alpha=ALPHA, A=1.0, B=1.0)
-    dev_u = float(np.max(np.abs(u_coordinate(r, pn) - u_coordinate(r, pe)) / np.abs(u_coordinate(r, pe))))
-    dev_w = float(np.max(np.abs(w_coordinate(r, pn) - w_coordinate(r, pe)) / np.abs(w_coordinate(r, pe))))
+    dev_u, dev_w = np.max(np.abs(uw_coordinate(r, pn) - uw_coordinate(r, pe)) / np.abs(uw_coordinate(r, pe)),
+                          axis=1).tolist()
     ok = dev_u <= 1e-6 and dev_w <= 1e-6
     _verdict(
         9,

@@ -11,8 +11,8 @@ from sepdeut.cli import main
 from sepdeut.model import ModelParams, Region, region_of
 from sepdeut.observables import solve_normalisation
 from sepdeut.quadrature import QuadratureError
-from sepdeut.wf_coordinate import u_coordinate, w_coordinate
-from sepdeut.wf_momentum import form_factor_central, form_factor_tensor, u_momentum, w_momentum
+from sepdeut.wf_coordinate import uw_coordinate
+from sepdeut.wf_momentum import form_factors, uw_momentum
 
 
 def run(argv, capsys):
@@ -157,7 +157,8 @@ def test_wavefunctions_match_per_row_scalar_evaluation(name, r_max, step, capsys
     lines = ["r_fm,u,w,region"]
     for i in range(round(r_max / step) + 1):
         r = i * step
-        lines.append(f"{r!r},{u_coordinate(r, p)!r},{w_coordinate(r, p)!r},{region_of(r, p).value}")
+        u, w = uw_coordinate(r, p).tolist()
+        lines.append(f"{r!r},{u!r},{w!r},{region_of(r, p).value}")
     argv = ["wavefunctions", *_point_flags(point), "--r-max", repr(r_max), "--dr", repr(step)]
     code, out, _ = run(argv, capsys)
     assert code == 0
@@ -173,7 +174,7 @@ def test_momentum_matches_per_row_scalar_evaluation(name, capsys):
     lines = ["k_inv_fm,g_C,g_T,u_k,w_k"]
     for i in range(251):
         k = i * 0.02
-        values = [float(f(k, p)) for f in (form_factor_central, form_factor_tensor, u_momentum, w_momentum)]
+        values = form_factors(k, p).tolist() + uw_momentum(k, p).tolist()
         lines.append(",".join(repr(v) for v in [k, *values]))
     code, out, _ = run(["momentum", *_point_flags(point)], capsys)
     assert code == 0
@@ -194,10 +195,10 @@ def _count_calls(monkeypatch, names):
 
 
 def test_each_column_is_one_evaluator_call(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, ["u_coordinate", "w_coordinate"])
+    calls = _count_calls(monkeypatch, ["uw_coordinate"])
     assert run(["wavefunctions", "--b1", "1.0", "--b2", "2.0"], capsys)[0] == 0
-    assert calls == {"u_coordinate": 1, "w_coordinate": 1}
-    names = ["form_factor_central", "form_factor_tensor", "u_momentum", "w_momentum"]
+    assert calls == {"uw_coordinate": 1}
+    names = ["form_factors", "uw_momentum"]
     calls = _count_calls(monkeypatch, names)
     assert run(["momentum"], capsys)[0] == 0
     assert calls == dict.fromkeys(names, 1)
@@ -207,7 +208,7 @@ def test_failed_evaluation_writes_no_file(tmp_path, monkeypatch, capsys):
     def fail(r, p):
         raise QuadratureError("injected failure")
 
-    monkeypatch.setattr(cli, "u_coordinate", fail)
+    monkeypatch.setattr(cli, "uw_coordinate", fail)
     target = tmp_path / "wf.csv"
     code, out, err = run(["wavefunctions", "--output", str(target)], capsys)
     assert code == 3
@@ -231,6 +232,25 @@ def test_bad_grid_exits_2_and_writes_nothing(argv, capsys):
     assert code == 2
     assert out == ""
     assert "grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunctions", "--r-max", "1e12", "--dr", "1e-6"],  # 1e18 points: numpy cannot allocate them
+        ["momentum", "--k-max", "1e300", "--dk", "1e-300"],  # the count overflows to inf
+        ["wavefunctions", "--r-max", "1e200", "--dr", "1e-100"],  # past numpy's largest array
+    ],
+    ids=["unallocatable", "overflow", "past-max-size"],
+)
+def test_oversized_grid_exits_2_and_writes_no_file(argv, tmp_path, capsys):
+    # exit 1 would read as a failed validate check
+    target = tmp_path / "grid.csv"
+    code, out, err = run(argv + ["--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "too many points" in err
+    assert not target.exists()
 
 
 def test_grid_stops_at_its_end(capsys):
@@ -294,14 +314,20 @@ def test_validate_passes_clean(capsys):
 
 
 def test_validate_catches_injected_fault(monkeypatch, capsys):
-    clean = wf_coordinate._BRANCHES[("w", Region.MIDDLE)]
-    monkeypatch.setitem(
-        wf_coordinate._BRANCHES, ("w", Region.MIDDLE), lambda r, p, d=0: (1.0 + 1e-3) * clean(r, p, d)
-    )
+    # the middle region's w, 1e-3 too large: `branch` and `uw_coordinate` both see it
+    coefficients, profiles = wf_coordinate._REGIONS[Region.MIDDLE]
+
+    def faulty(x, d, *coefs):
+        u, w = profiles(x, d, *coefs)
+        return u, (1.0 + 1e-3) * w
+
+    monkeypatch.setitem(wf_coordinate._REGIONS, Region.MIDDLE, (coefficients, faulty))
     code, out, _ = run(["validate"], capsys)
     assert code == 1
     failing = [line for line in out.splitlines() if "FAIL" in line]
     assert any("continuity w" in line for line in failing)
+    assert any("transform w" in line for line in failing)
+    assert not any(line.startswith(("continuity u", "derivative u", "transform u")) for line in failing)
 
 
 def test_params_json_with_flag_override(tmp_path, capsys):

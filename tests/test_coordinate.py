@@ -8,18 +8,13 @@ from sepdeut.model import ModelParams, Region, region_of
 from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels
 from sepdeut.specfun import _horner, mod_sph_bessel_k
 from sepdeut.wf_coordinate import (
-    _BRANCHES,
     _DG_SERIES,
     _G_SERIES,
     _SINH_MINUS_SERIES,
     _g,
     _sinh_minus,
-    branch_value,
-    du_dr,
-    dw_dr,
-    u_coordinate,
+    branch,
     uw_coordinate,
-    w_coordinate,
 )
 
 ALPHA = 0.23165
@@ -64,12 +59,18 @@ def _params(b1, b2, A=1.0, B=1.0):
     return ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=A, B=B)
 
 
+def _slopes(r, p):
+    """(du/dr, dw/dr) at r > 0 from the formula of the region holding r."""
+    return branch(region_of(r, p), r, p, 1).tolist()
+
+
 @pytest.mark.parametrize("pair", RANGE_PAIRS)
 def test_against_transform_reference(pair):
     p = _params(*pair)
     for r, u_ref, w_ref in REFERENCE_GRID[pair]:
-        assert u_coordinate(r, p) == pytest.approx(u_ref, rel=5e-12)
-        assert w_coordinate(r, p) == pytest.approx(w_ref, rel=5e-12)
+        u, w = uw_coordinate(r, p).tolist()
+        assert u == pytest.approx(u_ref, rel=5e-12)
+        assert w == pytest.approx(w_ref, rel=5e-12)
 
 
 @pytest.mark.parametrize("pair", RANGE_PAIRS)
@@ -80,9 +81,7 @@ def test_branch_continuity(pair):
         boundaries.append((p.delta, Region.INNER, Region.MIDDLE))
     boundaries.append((p.range_sum, Region.MIDDLE, Region.OUTER))
     for r0, lo, hi in boundaries:
-        for channel in ("u", "w"):
-            a = float(branch_value(channel, lo, r0, p))
-            b = float(branch_value(channel, hi, r0, p))
+        for a, b in zip(branch(lo, r0, p).tolist(), branch(hi, r0, p).tolist()):
             assert abs(a - b) / max(abs(a), abs(b)) < 1e-10
 
 
@@ -94,9 +93,7 @@ def test_one_sided_derivatives_match(pair):
         boundaries.append((p.delta, Region.INNER, Region.MIDDLE))
     boundaries.append((p.range_sum, Region.MIDDLE, Region.OUTER))
     for r0, lo, hi in boundaries:
-        for deriv in (du_dr, dw_dr):
-            d_lo = deriv(r0, p, lo)
-            d_hi = deriv(r0, p, hi)
+        for d_lo, d_hi in zip(branch(lo, r0, p, 1).tolist(), branch(hi, r0, p, 1).tolist()):
             assert abs(d_lo - d_hi) / max(abs(d_lo), abs(d_hi)) < 1e-10
 
 
@@ -108,8 +105,7 @@ def test_near_equal_ranges_approach_equal_formulas():
     r = np.arange(1, 49) * 0.25
     pe = _params(1.475 + d / 2, 1.475 + d / 2)
     pn = _params(1.475, 1.475 + d)
-    u_rel = np.abs(u_coordinate(r, pn) - u_coordinate(r, pe)) / np.abs(u_coordinate(r, pe))
-    w_rel = np.abs(w_coordinate(r, pn) - w_coordinate(r, pe)) / np.abs(w_coordinate(r, pe))
+    u_rel, w_rel = np.abs(uw_coordinate(r, pn) - uw_coordinate(r, pe)) / np.abs(uw_coordinate(r, pe))
     assert np.max(u_rel) < 1e-6
     assert np.max(w_rel) < 1e-6
 
@@ -119,7 +115,7 @@ def test_outer_region_is_pure_exponential():
 
     p = _params(1.0, 2.0, A=0.9, B=1.5)
     r = np.linspace(3.5, 11.0, 40)
-    scaled = u_coordinate(r, p) * np.exp(ALPHA * r)
+    scaled = uw_coordinate(r, p)[0] * np.exp(ALPHA * r)
     expected = p.A * mod_sph_bessel_i(0, ALPHA * p.b1) * mod_sph_bessel_i(0, ALPHA * p.b2)
     assert np.max(np.abs(scaled - expected)) < 1e-13
 
@@ -127,15 +123,16 @@ def test_outer_region_is_pure_exponential():
 def test_inner_d_wave_is_negative_for_unequal_ranges():
     p = _params(1.0, 2.0)
     for r in (0.2, 0.5, 0.9, 0.999):
-        assert w_coordinate(r, p) < 0.0
-        assert u_coordinate(r, p) > 0.0
+        u, w = uw_coordinate(r, p).tolist()
+        assert w < 0.0
+        assert u > 0.0
     # and it crosses back to positive in the middle region
-    assert w_coordinate(2.0, p) > 0.0
+    assert uw_coordinate(2.0, p)[1] > 0.0
 
 
 def test_frozen_value_at_outer_boundary():
     p = _params(1.475, 1.475, A=0.905, B=1.57)
-    assert u_coordinate(2.95, p) == pytest.approx(0.47500866213727057, rel=5e-14)
+    assert uw_coordinate(2.95, p)[0] == pytest.approx(0.47500866213727057, rel=5e-14)
 
 
 def test_analytic_derivative_s_channel():
@@ -144,7 +141,7 @@ def test_analytic_derivative_s_channel():
     a, b = ALPHA, 1.475
     r = 1.0
     expected = p.A / (2.0 * a * b * b) * (math.exp(-a * r) - math.exp(-2.0 * a * b) * math.cosh(a * r))
-    assert du_dr(r, p) == pytest.approx(expected, rel=1e-11)
+    assert _slopes(r, p)[0] == pytest.approx(expected, rel=1e-11)
 
 
 def test_analytic_derivative_d_channel_outer():
@@ -156,7 +153,7 @@ def test_analytic_derivative_d_channel_outer():
     r = 5.0
     x = a * r
     expected = -c * a * math.exp(-x) * (1.0 + 3.0 / x + 6.0 / x**2 + 6.0 / x**3)
-    assert dw_dr(r, p) == pytest.approx(expected, rel=1e-11)
+    assert _slopes(r, p)[1] == pytest.approx(expected, rel=1e-11)
 
 
 def test_derivative_limit_at_origin():
@@ -167,8 +164,8 @@ def test_derivative_limit_at_origin():
     r = 1e-6
     exact = p.A / (2.0 * a * b * b) * (math.exp(-a * r) - math.exp(-2.0 * a * b) * math.cosh(a * r))
     limit = p.A * (1.0 - math.exp(-2.0 * a * b)) / (2.0 * a * b * b)
-    assert du_dr(r, p) == pytest.approx(exact, rel=1e-12)
-    assert du_dr(r, p) == pytest.approx(limit, rel=1e-6)
+    assert _slopes(r, p)[0] == pytest.approx(exact, rel=1e-12)
+    assert _slopes(r, p)[0] == pytest.approx(limit, rel=1e-6)
 
 
 # Middle-region slopes of w (A = B = 1) from 40-digit mpmath differentiation
@@ -184,7 +181,7 @@ MIDDLE_SLOPES = [
 def test_middle_slope_against_reference(b1, b2, alpha, r, slope):
     p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
     assert region_of(r, p) is Region.MIDDLE
-    assert dw_dr(r, p) == pytest.approx(slope, rel=5e-10)
+    assert _slopes(r, p)[1] == pytest.approx(slope, rel=5e-10)
 
 
 # The branches solve y'' = (l(l+1)/r^2 + alpha^2) y - strength * S(r) with
@@ -219,15 +216,15 @@ def test_branches_solve_radial_equation(b1, b2, alpha):
     edges = [0.0] + ([] if p.equal_range else [p.delta]) + [p.range_sum, p.range_sum + 10.0 / alpha]
     regions = [Region.MIDDLE, Region.OUTER] if p.equal_range else list(Region)
     for lo, hi, region in zip(edges, edges[1:], regions):
-        for channel, ll in (("u", 0.0), ("w", 6.0)):
-            branch = _BRANCHES[(channel, region)]
+        for row, (channel, ll) in enumerate((("u", 0.0), ("w", 6.0))):
 
             def y2(r):
-                return (ll / (r * r) + alpha * alpha) * branch(r, p) - _source(channel, region, p, r)
+                return (ll / (r * r) + alpha * alpha) * branch(region, r, p)[row] - _source(channel, region, p, r)
 
             ends = np.linspace(lo, hi, 9)
+            ends[0] = max(ends[0], 1e-300)  # a slope needs r > 0; the profiles are smooth at 0
             for r1, r2 in zip(ends, ends[1:]):
-                d1, d2 = float(branch(r1, p, 1)), float(branch(r2, p, 1))
+                d1, d2 = float(branch(region, r1, p, 1)[row]), float(branch(region, r2, p, 1)[row])
                 integral = integrate_panels(y2, QuadratureScheme(PANEL_ORDER, (r1, r2)))
                 assert abs(d2 - d1 - integral) <= 5e-11 * max(abs(d1), abs(d2)), (channel, region, r1)
 
@@ -293,37 +290,33 @@ def test_sources_are_triple_bessel_integrals(b1, b2, r):
 def test_derivative_rejects_nonpositive_radius():
     p = _params(1.475, 1.475)
     with pytest.raises(ValueError):
-        du_dr(0.0, p)
+        branch(Region.MIDDLE, 0.0, p, 1)
     with pytest.raises(ValueError):
-        dw_dr(-1.0, p)
+        branch(Region.MIDDLE, -1.0, p, 1)
 
 
 def test_values_at_origin():
     p = _params(1.0, 2.0)
-    assert u_coordinate(0.0, p) == 0.0
-    assert w_coordinate(0.0, p) == 0.0
+    assert uw_coordinate(0.0, p).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
-        u_coordinate(-0.5, p)
+        uw_coordinate(-0.5, p)
     with pytest.raises(ValueError):
-        w_coordinate(float("nan"), p)
+        uw_coordinate(float("nan"), p)
 
 
 def test_strength_scaling():
     r = np.linspace(0.1, 10.0, 25)
     p1 = _params(1.0, 2.0, A=1.0, B=1.0)
     p2 = _params(1.0, 2.0, A=2.0, B=0.25)
-    assert np.allclose(u_coordinate(r, p2), 2.0 * u_coordinate(r, p1), rtol=1e-15)
-    assert np.allclose(w_coordinate(r, p2), 0.25 * w_coordinate(r, p1), rtol=1e-15)
+    assert np.allclose(uw_coordinate(r, p2), [[2.0], [0.25]] * uw_coordinate(r, p1), rtol=1e-15)
 
 
 def test_scalar_array_consistency():
     p = _params(0.8, 1.1, A=0.9, B=1.5)
     r = np.array([0.1, 0.3, 1.7, 2.5])
-    vec_u = u_coordinate(r, p)
-    vec_w = w_coordinate(r, p)
+    vec = uw_coordinate(r, p)
     for i, ri in enumerate(r):
-        assert vec_u[i] == u_coordinate(float(ri), p)
-        assert vec_w[i] == w_coordinate(float(ri), p)
+        assert vec[:, i].tolist() == uw_coordinate(float(ri), p).tolist()
 
 
 # equal, unequal and nearly equal ranges (equal within EPS_REGION)
@@ -339,22 +332,24 @@ def _boundary_radii(p):
 
 @pytest.mark.parametrize("b1, b2, alpha", UW_POINTS)
 def test_uw_coordinate_rows_equal_single_channel_calls(b1, b2, alpha):
+    # each row is the call with the other channel's strength switched off,
+    # and at every radius the formula of the region holding it
     p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5)
     r = _boundary_radii(p)
     expected = {Region.MIDDLE, Region.OUTER} if p.equal_range else set(Region)
     assert {region_of(x, p) for x in r.tolist()} == expected
     uw = uw_coordinate(r, p)
     assert uw.shape == (2,) + r.shape
-    assert uw[0].tolist() == u_coordinate(r, p).tolist()
-    assert uw[1].tolist() == w_coordinate(r, p).tolist()
+    assert uw[0].tolist() == uw_coordinate(r, ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=0.0))[0].tolist()
+    assert uw[1].tolist() == uw_coordinate(r, ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.0, B=1.5))[1].tolist()
     assert uw_coordinate(r.reshape(3, 3), p).tolist() == uw.reshape(2, 3, 3).tolist()
-    for x in r.tolist():
+    for i, x in enumerate(r.tolist()):
         pair = uw_coordinate(x, p)
         assert pair.shape == (2,)
-        assert pair.tolist() == [u_coordinate(x, p), w_coordinate(x, p)]
+        assert pair.tolist() == uw[:, i].tolist() == branch(region_of(x, p), x, p).tolist()
     for bad in (-0.5, float("nan"), float("inf"), [1.0, -1.0]):
         messages = set()
-        for f in (uw_coordinate, u_coordinate, w_coordinate):
+        for f in (uw_coordinate, lambda r, p: branch(Region.MIDDLE, r, p)):
             with pytest.raises(ValueError) as err:
                 f(bad, p)
             messages.add(str(err.value))
@@ -375,10 +370,23 @@ def test_uw_coordinate_batch_rows_equal_single_records():
         uw_coordinate(rows[:2], records)
 
 
-def test_branch_value_rejects_unknown_channel():
-    p = _params(1.475, 1.475)
-    with pytest.raises(ValueError):
-        branch_value("v", Region.MIDDLE, 1.0, p)
+def test_branch_rejects_unknown_region_and_bad_radii():
+    p = _params(1.0, 2.0)
+    for region in ("middle", None, 1):
+        with pytest.raises(ValueError, match="no branch"):
+            branch(region, 1.0, p)
+    with pytest.raises(ValueError, match="no branch"):
+        branch(Region.MIDDLE, 1.0, p, 2)
+    for region in Region:
+        for d in (0, 1):
+            with pytest.raises(ValueError, match=">= 0"):
+                branch(region, -1e-300, p, d)
+            with pytest.raises(ValueError, match="finite"):
+                branch(region, [1.0, math.inf], p, d)
+        with pytest.raises(ValueError, match="r > 0"):
+            branch(region, [1.0, 0.0], p, 1)
+    assert branch(Region.INNER, 0.0, p).tolist() == [0.0, 0.0]  # r = 0 is inner at unequal ranges
+    assert branch(Region.OUTER, np.ones((2, 3)), p, 1).shape == (2, 2, 3)
 
 
 # Both paths of each bracket helper must agree across the switch at 0.5,

@@ -194,14 +194,19 @@ def test_round_trip_from_random_points():
 
 @pytest.mark.parametrize("r_rms, q", [(2.08, 0.286), (2.08, 0.76), (3.0, 1.7), (0.6, 4.0)])
 @pytest.mark.parametrize("alpha", [ALPHA, 1.0])
-@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 4.0])
 def test_fit_scales_with_the_range(r_rms, q, alpha, lam):
     # (b, alpha, r_rms, Q) -> (lam b, alpha/lam, lam r_rms, lam^2 Q) keeps the ratio
     base = fit_parameters(FitTargets(r_rms=r_rms, Q=q), alpha)
     res = fit_parameters(FitTargets(r_rms=lam * r_rms, Q=lam * lam * q), alpha / lam)
     assert (res.converged, res.iterations) == (base.converged, base.iterations)
-    assert res.b == pytest.approx(lam * base.b, rel=1e-14, abs=0.0)
-    assert res.ratio == pytest.approx(base.ratio, rel=1e-14, abs=0.0)
+    if lam in (0.25, 4.0):
+        assert (res.b, res.ratio, res.residual_norm) == (lam * base.b, base.ratio, base.residual_norm)
+    else:
+        # the strengths carry sqrt(lam), inexact here, which can reorder
+        # near-ties among the residuals (up to 6e-15 measured)
+        assert res.b == pytest.approx(lam * base.b, rel=1e-14, abs=0.0)
+        assert res.ratio == pytest.approx(base.ratio, rel=1e-14, abs=0.0)
 
 
 def _near_tangent_edge(r_rms):

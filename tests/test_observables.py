@@ -19,8 +19,8 @@ from sepdeut.observables import (
     solve_normalisation,
 )
 from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, momentum_scheme, radial_scheme
-from sepdeut.wf_coordinate import u_coordinate, w_coordinate
-from sepdeut.wf_momentum import u_momentum, w_momentum
+from sepdeut.wf_coordinate import uw_coordinate
+from sepdeut.wf_momentum import uw_momentum
 
 ALPHA = 0.23165
 B_RANGE = 1.475
@@ -69,12 +69,12 @@ def test_quadrature_pairs_equal_per_channel_integrals(b1, b2):
     p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=0.9, B=1.5)
     k_scheme, r_scheme = momentum_scheme(p), radial_scheme(p)
     assert probabilities_numeric(p) == (
-        integrate_panels(lambda k: k * k * u_momentum(k, p) ** 2, k_scheme),
-        integrate_panels(lambda k: k * k * w_momentum(k, p) ** 2, k_scheme),
+        integrate_panels(lambda k: k * k * uw_momentum(k, p)[0] ** 2, k_scheme),
+        integrate_panels(lambda k: k * k * uw_momentum(k, p)[1] ** 2, k_scheme),
     )
     assert probabilities_coordinate(p) == (
-        integrate_panels(lambda r: u_coordinate(r, p) ** 2, r_scheme),
-        integrate_panels(lambda r: w_coordinate(r, p) ** 2, r_scheme),
+        integrate_panels(lambda r: uw_coordinate(r, p)[0] ** 2, r_scheme),
+        integrate_panels(lambda r: uw_coordinate(r, p)[1] ** 2, r_scheme),
     )
 
 
@@ -175,11 +175,11 @@ def test_rms_and_q_panel_doubling():
         warnings.simplefilter("error")
         rep = report(p)
     doubled = QuadratureScheme(2 * PANEL_ORDER, radial_scheme(p).breakpoints)
-    r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), doubled)
+    r2 = integrate_panels(lambda r: r * r * (uw_coordinate(r, p) ** 2).sum(axis=0), doubled)
 
     def q_integrand(r):
-        w = w_coordinate(r, p)
-        return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+        u, w = uw_coordinate(r, p)
+        return r * r * w * (math.sqrt(8.0) * u - w)
 
     assert abs(rep.r_rms - 0.5 * math.sqrt(r2)) < 1e-9
     assert abs(rep.Q - integrate_panels(q_integrand, doubled) / 20.0) < 1e-9
@@ -248,11 +248,11 @@ def test_quadratic_form_matches_direct_integrals(b1, b2, normalised):
     p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=A, B=B)
 
     def direct(scheme):
-        r2 = integrate_panels(lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2), scheme)
+        r2 = integrate_panels(lambda r: r * r * (uw_coordinate(r, p) ** 2).sum(axis=0), scheme)
 
         def q_integrand(r):
-            w = w_coordinate(r, p)
-            return r * r * w * (math.sqrt(8.0) * u_coordinate(r, p) - w)
+            u, w = uw_coordinate(r, p)
+            return r * r * w * (math.sqrt(8.0) * u - w)
 
         return 0.5 * math.sqrt(r2), integrate_panels(q_integrand, scheme) / 20.0
 

@@ -14,8 +14,8 @@ from sepdeut.quadrature import (
     momentum_scheme,
     radial_scheme,
 )
-from sepdeut.wf_coordinate import u_coordinate, w_coordinate
-from sepdeut.wf_momentum import u_momentum, w_momentum
+from sepdeut.wf_coordinate import uw_coordinate
+from sepdeut.wf_momentum import uw_momentum
 
 
 def test_rule_low_orders():
@@ -74,9 +74,9 @@ def test_stacked_integrand_sums_each_row(b1, b2):
     p = ModelParams(b1=b1, b2=b2, alpha=0.23165, A=1.0, B=1.0)
     scheme = radial_scheme(p)
     rows = [
-        lambda r: r * r * u_coordinate(r, p) ** 2,
-        lambda r: r * r * w_coordinate(r, p) ** 2,
-        lambda r: r * r * u_coordinate(r, p) * w_coordinate(r, p),
+        lambda r: r * r * uw_coordinate(r, p)[0] ** 2,
+        lambda r: r * r * uw_coordinate(r, p)[1] ** 2,
+        lambda r: r * r * uw_coordinate(r, p).prod(axis=0),
     ]
     stacked = integrate_panels(lambda r: np.stack([f(r) for f in rows]), scheme)
     assert stacked.shape == (3,)
@@ -111,11 +111,16 @@ def test_batched_sum_matches_per_panel_loop(b1, b2):
     alpha, ratio = 0.23165, 3.0
     A, B = solve_normalisation(b1, alpha, ratio, b2)
     p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
+
+    def q_integrand(r):
+        u, w = uw_coordinate(r, p)
+        return r**4 * w * (math.sqrt(8.0) * u - w)
+
     cases = [
-        (radial_scheme(p), lambda r: r * r * (u_coordinate(r, p) ** 2 + w_coordinate(r, p) ** 2)),
-        (radial_scheme(p), lambda r: r**4 * w_coordinate(r, p) * (math.sqrt(8.0) * u_coordinate(r, p) - w_coordinate(r, p))),
-        (momentum_scheme(p), lambda k: k * k * u_momentum(k, p) ** 2),
-        (momentum_scheme(p), lambda k: k * k * w_momentum(k, p) ** 2),
+        (radial_scheme(p), lambda r: r * r * (uw_coordinate(r, p) ** 2).sum(axis=0)),
+        (radial_scheme(p), q_integrand),
+        (momentum_scheme(p), lambda k: k * k * uw_momentum(k, p)[0] ** 2),
+        (momentum_scheme(p), lambda k: k * k * uw_momentum(k, p)[1] ** 2),
     ]
     for scheme, f in cases:
         assert integrate_panels(f, scheme) == pytest.approx(_per_panel_loop(f, scheme), rel=1e-15)

@@ -18,8 +18,8 @@ from sepdeut.transform_oracle import (
     bessel_transform,
     validate_transforms,
 )
-from sepdeut.wf_coordinate import u_coordinate, w_coordinate
-from sepdeut.wf_momentum import u_momentum, uw_momentum, w_momentum
+from sepdeut.wf_coordinate import uw_coordinate
+from sepdeut.wf_momentum import uw_momentum
 
 ALPHA = 0.23165
 
@@ -38,9 +38,14 @@ def test_transforms_match_piecewise_branches(pair):
     rep = validate_transforms(p)
     assert rep.max_abs_dev_u < BRANCH_TOL
     assert rep.max_abs_dev_w < BRANCH_TOL
-    assert rep.r_grid == DEFAULT_R_GRID
+    assert tuple(point.r for point in rep.points) == DEFAULT_R_GRID
+    assert rep.max_abs_dev_u == max(point.dev_u for point in rep.points)
+    assert rep.max_abs_dev_w == max(point.dev_w for point in rep.points)
     for point in rep.points:
         assert point.region is region_of(point.r, p)
+        ur, wr = bessel_transform(p, point.r)
+        u, w = uw_coordinate(point.r, p).tolist()
+        assert (point.dev_u, point.dev_w) == (abs(ur - u), abs(wr - w))
 
 
 def test_validate_box_scan_converges():
@@ -62,8 +67,7 @@ def test_single_point_transform_both_channels():
     p = _params(1.0, 2.0)
     r = 0.5  # inner region: the D-wave is negative here
     u, w = bessel_transform(p, r)
-    assert u == pytest.approx(u_coordinate(r, p), abs=1e-12)
-    assert w == pytest.approx(w_coordinate(r, p), abs=1e-12)
+    assert (u, w) == pytest.approx(uw_coordinate(r, p).tolist(), abs=1e-12)
     assert w < 0.0
 
 
@@ -94,7 +98,7 @@ def test_cutoff_follows_large_alpha():
     A, B = solve_normalisation(1.0, 50.0, 3.0, 2.0)
     p = ModelParams(b1=1.0, b2=2.0, alpha=50.0, A=A, B=B)
     u, _ = bessel_transform(p, 1.0)
-    assert u == pytest.approx(u_coordinate(1.0, p), abs=1e-12)
+    assert u == pytest.approx(uw_coordinate(1.0, p)[0], abs=1e-12)
 
 
 def test_argument_validation():
@@ -102,14 +106,6 @@ def test_argument_validation():
     for r in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             bessel_transform(p, r)
-
-
-def test_report_covers_requested_grid():
-    p = _params(1.475, 1.475)
-    rep = validate_transforms(p, r_grid=(1.0, 4.0))
-    assert rep.r_grid == (1.0, 4.0)
-    assert len(rep.points) == 2
-    assert rep.max_abs_dev_u == max(pt.dev_u for pt in rep.points)
 
 
 def _unchunked_transform(l, f, r, spacing, tail):
@@ -131,31 +127,19 @@ def _unchunked_transform(l, f, r, spacing, tail):
         ((1.0, 1.0, 0.4, 3.0), (0.5, 2.5)),  # equal ranges, alpha*b < 0.5
     ],
 )
-def test_stacked_chunked_transform_is_bit_identical_to_per_channel(point, radii, monkeypatch):
+def test_stacked_chunked_transform_is_bit_identical_to_per_channel(point, radii):
     b1, b2, alpha, ratio = point
     A, B = solve_normalisation(b1, alpha, ratio, b2)
     p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=A, B=B)
-    got = []
-
-    def recorded(*args, **kwargs):
-        got.append(bessel_transform(*args, **kwargs))
-        return got[-1]
-
-    monkeypatch.setattr(transform_oracle, "bessel_transform", recorded)
-    rep = validate_transforms(p, r_grid=radii)
     want = []
     for r in radii:
         spacing = math.pi / (r + p.range_sum)
         tail_u, tail_w = _tail(p, r, (2 * math.ceil(_K_CUT / spacing) * spacing,))[:, 0].tolist()
         want.append((
-            _unchunked_transform(0, lambda k: u_momentum(k, p), r, spacing, tail_u),
-            _unchunked_transform(2, lambda k: w_momentum(k, p), r, spacing, tail_w),
+            _unchunked_transform(0, lambda k: uw_momentum(k, p)[0], r, spacing, tail_u),
+            _unchunked_transform(2, lambda k: uw_momentum(k, p)[1], r, spacing, tail_w),
         ))
-    assert got == want
-    for pt, (ur, wr) in zip(rep.points, want):
-        assert pt.region is region_of(pt.r, p)
-        assert pt.dev_u == abs(ur - u_coordinate(pt.r, p))
-        assert pt.dev_w == abs(wr - w_coordinate(pt.r, p))
+    assert [bessel_transform(p, r) for r in radii] == want
 
 
 def test_integrand_sees_one_chunk_at_a_time_and_each_node_once(monkeypatch):
