@@ -3,12 +3,11 @@
 For equal ranges the probability integrals have closed forms: each is a
 prefactor times a bracket in x = alpha*b mixing a polynomial with
 exp(-2x) and exp(-4x) terms.  The brackets vanish like x^4 (S) and x^9
-(D) while their individual terms stay O(1), so below a switch point they
-are summed from their Taylor series instead.  The series coefficients
-come from the package's one series generator, `specfun._exact_series`,
-which expands the same exp-polynomial pieces as the closed forms in
-exact rationals and asserts the leading-term cancellation, guarding
-both against transcription slips.
+(D) while their individual terms stay O(1), so below their cuts, 0.3 and
+0.45, they are summed from their Taylor series instead.  Each bracket is
+one `specfun._ExpPoly` table, whose series the package's one series
+generator expands from the same pieces as the closed form, in exact
+rationals and with the leading-term cancellation asserted.
 
 Unequal ranges take the quadrature path over the momentum-space
 wavefunctions (smooth, k^-6 decay).  Each path is one function returning
@@ -42,15 +41,9 @@ import numpy as np
 
 from .model import ModelParams
 from .quadrature import integrate_panels, momentum_scheme, radial_scheme
-from .specfun import _horner, _series_table, mod_sph_bessel_i
-from .wf_coordinate import uw_coordinate
+from .specfun import _ExpPoly
+from .wf_coordinate import _outer_coefficients, uw_coordinate
 from .wf_momentum import uw_momentum
-
-# Below these values of x = alpha*b the closed brackets lose more than
-# half their digits to cancellation and the series takes over.  Measured
-# crossover: at the cut the two paths agree to ~1e-12 relative.
-_PS_SERIES_CUT = 0.3
-_PD_SERIES_CUT = 0.45
 
 _NORMALISATION_WARN_TOL = 1e-3
 
@@ -62,47 +55,24 @@ _NORMALISATION_WARN_TOL = 1e-3
 _BLOCK = 3
 
 
-# S bracket: 8x - 9 + 4*(2x+3)*exp(-2x) - (4x+3)*exp(-4x), polynomials ascending
-_PS_PIECES = ((1, (-9, 8), 0), (4, (3, 2), -2), (-1, (3, 4), -4))
-_PS_SERIES = _series_table(_PS_PIECES, 4, 23)
+# The equal-range brackets in x = alpha*b.  Below their cuts the closed
+# forms lose more than half their digits to cancellation and the series
+# takes over; within 2 % of the cuts the two agree to 4e-14 (S) and 6e-11
+# (D) relative.
+# S: 8x - 9 + 4*(2x+3)*exp(-2x) - (4x+3)*exp(-4x) = x^4 * sum_m c_m x^m
+_P_S = _ExpPoly(((1, (-9, 8), 0), (4, (3, 2), -2), (-1, (3, 4), -4)), 0, 4, 23, cut=0.3)
 
-# D bracket: 56x^5 - 135x^4 - 80x^3 + 450x^2 - 315
-#            - 60*(x+1)^2*(2x^3+3x^2-7)*exp(-2x)
-#            - 15*(x+1)^3*(4x^2+7x+7)*exp(-4x)
-_PD_PIECES = (
-    (1, (-315, 0, 450, -80, -135, 56), 0),
-    (-60, (-7, -14, -4, 8, 7, 2), -2),
-    (-15, (7, 28, 46, 40, 19, 4), -4),
+# D: 56x^5 - 135x^4 - 80x^3 + 450x^2 - 315
+#    - 60*(x+1)^2*(2x^3+3x^2-7)*exp(-2x)
+#    - 15*(x+1)^3*(4x^2+7x+7)*exp(-4x)   = x^9 * sum_m c_m x^m
+_P_D = _ExpPoly(
+    (
+        (1, (-315, 0, 450, -80, -135, 56), 0),
+        (-60, (-7, -14, -4, 8, 7, 2), -2),
+        (-15, (7, 28, 46, 40, 19, 4), -4),
+    ),
+    0, 9, 22, cut=0.45,
 )
-_PD_SERIES = _series_table(_PD_PIECES, 9, 22)
-
-
-def _pS_bracket(x: float) -> float:
-    if x < _PS_SERIES_CUT:
-        return x**4 * _horner(_PS_SERIES, x)
-    e2 = math.exp(-2.0 * x)
-    e4 = math.exp(-4.0 * x)
-    return math.fsum([8.0 * x, -9.0, 8.0 * x * e2, 12.0 * e2, -4.0 * x * e4, -3.0 * e4])
-
-
-def _pD_bracket(x: float) -> float:
-    if x < _PD_SERIES_CUT:
-        return x**9 * _horner(_PD_SERIES, x)
-    e2 = math.exp(-2.0 * x)
-    e4 = math.exp(-4.0 * x)
-    p2 = ((((2.0 * x + 7.0) * x + 8.0) * x - 4.0) * x - 14.0) * x - 7.0
-    p3 = ((((4.0 * x + 19.0) * x + 40.0) * x + 46.0) * x + 28.0) * x + 7.0
-    return math.fsum(
-        [
-            56.0 * x**5,
-            -135.0 * x**4,
-            -80.0 * x**3,
-            450.0 * x * x,
-            -315.0,
-            -60.0 * p2 * e2,
-            -15.0 * p3 * e4,
-        ]
-    )
 
 
 def probabilities_closed(params: ModelParams):
@@ -111,8 +81,8 @@ def probabilities_closed(params: ModelParams):
         raise ValueError("probabilities_closed has a closed form only for equal ranges (b1 == b2)")
     al, b = params.alpha, params.b1
     return (
-        params.A**2 / (16.0 * al**5 * b**4) * _pS_bracket(al * b),
-        params.B**2 / (240.0 * al**9 * b**8) * _pD_bracket(al * b),
+        params.A**2 / (16.0 * al**5 * b**4) * _P_S(al * b),
+        params.B**2 / (240.0 * al**9 * b**8) * _P_D(al * b),
     )
 
 
@@ -247,13 +217,10 @@ def _moments(b1, b2, alpha: float):
 def asymptotic_normalisations(params: ModelParams):
     """(A_S, A_D): coefficients of exp(-alpha*r) and its D-type tail.
 
-    These are exactly the outer-branch coefficients: u -> A_S e^(-ar),
+    These are the outer branch's coefficients: u -> A_S e^(-ar),
     w -> A_D e^(-ar) (1 + 3/(ar) + 3/(ar)^2).
     """
-    al = params.alpha
-    A_S = params.A * mod_sph_bessel_i(0, al * params.b1) * mod_sph_bessel_i(0, al * params.b2)
-    A_D = params.B * mod_sph_bessel_i(1, al * params.b1) * mod_sph_bessel_i(1, al * params.b2)
-    return A_S, A_D
+    return _outer_coefficients(params, 0)
 
 
 def ds_ratio(params: ModelParams) -> float:

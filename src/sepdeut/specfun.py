@@ -1,4 +1,5 @@
-"""Stable evaluation of spherical Bessel functions of orders 0..2.
+"""Stable evaluation of spherical Bessel functions of orders 0..2, and the
+exp-polynomial tables behind the package's cancelling closed forms.
 
 j_l, i_l and k_l are all simple sin/cos/exp combinations, but for l >= 1
 the closed forms subtract nearly equal terms near the origin and lose
@@ -7,13 +8,17 @@ point 0.5 each function is therefore evaluated from its Taylor series
 instead; the k_l have no such cancellation and use the closed forms
 everywhere.
 
-Every small-argument series in the package, here and in `wf_coordinate`
-and `observables`, comes from one generator, `_exact_series`: it expands
-the same exp-polynomial that the closed form sums (scale * poly(x) *
-exp(rate*x) pieces) in exact rationals, asserts that the cancelled
-leading terms vanish, and hands the surviving coefficients to Horner's
-rule.  The i_l tables come from x^(l+1) i_l(x); j_l reads the same
-tables at -x^2.
+Every closed form of the package that cancels near the origin, here and
+in `wf_coordinate` and `observables`, is one `_ExpPoly` table: x^-p times
+a sum of scale * poly(x) * exp(rate*x) pieces, built once at import.
+Below its cut it sums its series, which `_exact_series` expands from the
+pieces in exact rationals, asserting that the cancelled leading terms
+vanish; at and above the cut it sums the pieces themselves.  Its exact
+slope is generated from the same table: pieces x P' + rate x P - p P over
+x^(p+1), and the series differentiated term by term.  So no value,
+series or slope is written out twice.  The i_l are the tables of
+x^(l+1) i_l(x); j_l reads their series at -x^2 and keeps its own sin/cos
+closed form.
 
 `sph_bessel_j` also takes a tuple of orders and returns one row per
 order, sharing a single sin, cos and series/closed split across them;
@@ -23,10 +28,10 @@ j_0 and j_1 of the form factors, and j_0 and j_2 of the transform
 kernel, this way.
 
 All evaluators accept scalars or numpy arrays and return matching shapes.
-A scalar argument to i_l or k_l skips the array checks and masks: the
-same formulas run with numpy on the float (not `math`, whose sinh and exp
-differ from numpy's by 1 ulp on many arguments), so it gives the
-one-element array's double in about a microsecond.
+A scalar argument to i_l, k_l or a table skips the array checks and
+masks: the same formulas run with numpy on the float (not `math`, whose
+exp differs from numpy's by 1 ulp on many arguments), so it gives the
+one-element array's double in one or two microseconds.
 """
 
 from __future__ import annotations
@@ -68,16 +73,108 @@ def _exact_series(pieces, leading_power, n_terms, step=1):
     return total[leading_power::step]
 
 
-def _series_table(pieces, leading_power, n_terms, step=1):
-    """The coefficients of `_exact_series` rounded to doubles."""
-    return tuple(float(c) for c in _exact_series(pieces, leading_power, n_terms, step))
-
-
 def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    """The polynomial with these coefficients, highest power first, at x."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * x + c
     return acc
+
+
+def _power(x, n):
+    """x^n for n >= 1 by repeated multiplication: the same double for a float and an array."""
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
+def _polys_by_rate(pieces):
+    """{rate: exact ascending coefficients of the sum of that rate's scale * poly}."""
+    out = {}
+    for scale, poly, rate in pieces:
+        acc = out.setdefault(rate, [])
+        acc.extend([Fraction(0)] * (len(poly) - len(acc)))
+        for j, c in enumerate(poly):
+            acc[j] += Fraction(scale) * Fraction(c)
+    return out
+
+
+def _slope_poly(poly, rate, p):
+    """Q = x P' + rate x P - p P, so that (P e^(rate x) / x^p)' = Q e^(rate x) / x^(p+1)."""
+    out = [(j - p) * c for j, c in enumerate(poly)] + [Fraction(0)]
+    for j, c in enumerate(poly):
+        out[j + 1] += rate * c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+class _ExpPoly:
+    """f(x) = x^-p * (sum of the pieces), x >= 0, built once from its pieces.
+
+    Each piece (scale, poly, rate) is scale * poly(x) * exp(rate*x) as in
+    `_exact_series`.  Below `cut`, f is its exact series,
+    x^(leading_power - p) * sum_m c_m x^(step*m) with `n_terms` terms
+    rounded to doubles; at or above it, the pieces themselves, each rate's
+    polynomials summed exactly into one.  f(x, 1) is the exact slope from
+    the same table: pieces x P' + rate x P - p P over x^(p+1), and the
+    series differentiated term by term in exact rationals.  A float
+    argument skips the masks and gives the double of a one-element array.
+    """
+
+    def __init__(self, pieces, p, leading_power, n_terms, step=1, cut=_SERIES_CUT):
+        self.pieces, self.p, self.leading_power, self.n_terms, self.step, self.cut = (
+            pieces, p, leading_power, n_terms, step, cut)
+        exact = _exact_series(pieces, leading_power, n_terms, step)
+        powers = [leading_power - p + step * m for m in range(n_terms)]
+        skip = 0 if powers[0] else 1  # a constant leading term has no slope
+        self.series = _floats(exact)
+        self.slope_series = _floats(c * n for c, n in zip(exact[skip:], powers[skip:]))
+        polys = _polys_by_rate(pieces)
+        self.slope_polys = {rate: _slope_poly(poly, rate, p) for rate, poly in polys.items()}
+        # per order d: (power of x before the series, the series highest term
+        # first, power of x dividing the closed form, the closed form's table)
+        self._forms = (
+            (powers[0], self.series[::-1], p, _closed_table(polys)),
+            (powers[skip] - 1, self.slope_series[::-1], p + 1, _closed_table(self.slope_polys)),
+        )
+
+    def series_at(self, x, t, d=0):
+        """x^(leading_power - p - d) * sum_m c_m t^m: the series, at t = x^step or another t."""
+        power, coeffs, _, _ = self._forms[d]
+        s = _horner(coeffs, t)
+        return _power(x, power) * s if power else s
+
+    def closed(self, x, d=0):
+        """The pieces at x: each rate's polynomial by Horner's rule, times its exponential.
+
+        Horner's rule is written out here, not called: a call per rate
+        is a large share of the float path's cost."""
+        _, _, p, table = self._forms[d]
+        total = 0.0
+        for rate, lead, rest in table:
+            term = lead
+            for c in rest:
+                term = term * x + c
+            total = total + (term * np.exp(rate * x) if rate else term)
+        return total / _power(x, p) if p else total
+
+    def __call__(self, x, d=0):
+        """f(x), or its slope for d = 1; x a float or a float array."""
+        if isinstance(x, float):
+            return float(self.series_at(x, x * x if self.step == 2 else x, d) if x < self.cut else self.closed(x, d))
+        return _split(x, self.cut, lambda s: self.series_at(s, s * s if self.step == 2 else s, d),
+                      lambda s: self.closed(s, d))
+
+
+def _floats(coeffs):
+    return tuple(float(c) for c in coeffs)
+
+
+def _closed_table(polys):
+    """((rate, leading coefficient, the others highest power first), ...) from {rate: poly}."""
+    return tuple((rate, float(poly[-1]), _floats(poly[-2::-1])) for rate, poly in polys.items())
 
 
 # x^(l+1) i_l(x): sinh x, x cosh x - sinh x, (x^2+3) sinh x - 3x cosh x
@@ -87,8 +184,9 @@ _I_PIECES = (
     ((0.5, (3, -3, 1), 1), (-0.5, (3, 3, 1), -1)),
 )
 
-# i_l(x) = x^l * sum_m c_m (x^2)^m and j_l(x) = x^l * sum_m c_m (-x^2)^m
-_I_SERIES = tuple(_series_table(p, 2 * l + 1, 8, 2) for l, p in enumerate(_I_PIECES))
+# i_l(x) = x^l * sum_m c_m (x^2)^m, and j_l(x) = x^l * sum_m c_m (-x^2)^m
+# from the same table
+_i = tuple(_ExpPoly(pieces, l + 1, 2 * l + 1, 8, 2) for l, pieces in enumerate(_I_PIECES))
 
 
 def _j_closed(l: int, x: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
@@ -100,36 +198,21 @@ def _j_closed(l: int, x: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.nda
     return (3.0 / (x * x * x) - 1.0 / x) * sin - 3.0 * cos / (x * x)
 
 
-def _i_closed(l: int, x: np.ndarray) -> np.ndarray:
-    if l == 0:
-        return np.sinh(x) / x
-    if l == 1:
-        return np.cosh(x) / x - np.sinh(x) / (x * x)
-    return ((x * x + 3.0) * np.sinh(x) - 3.0 * x * np.cosh(x)) / (x * x * x)
-
-
 def _check_order(l: int) -> int:
     if l not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {l!r}")
     return l
 
 
-def _split(x: np.ndarray, series, closed) -> np.ndarray:
-    """series(x) where |x| < _SERIES_CUT, closed(x) elsewhere."""
-    small = np.abs(x) < _SERIES_CUT
+def _split(x: np.ndarray, cut, series, closed) -> np.ndarray:
+    """series(x) where x < cut, closed(x) elsewhere."""
+    small = x < cut
     out = np.empty_like(x)
     if small.any():
         out[small] = series(x[small])
     if not small.all():
         out[~small] = closed(x[~small])
     return out
-
-
-def _bessel_series(l: int, x: np.ndarray, sign: float) -> np.ndarray:
-    """x^l * sum_m c_m (sign*x^2)^m: i_l for sign = +1, j_l for sign = -1."""
-    # x*x as numpy squares an array: a float's x**2 calls pow, 1 ulp off for ~1 argument in 1000
-    xl = x * x if l == 2 else x**l
-    return xl * _horner(_I_SERIES[l], sign * x * x)
 
 
 def _checked_argument(x, zero_ok=True):
@@ -158,7 +241,7 @@ def _j_orders(orders: tuple, x):
     if np.any(small):
         s = x1[small]
         for row, l in zip(out, orders):
-            row[small] = _bessel_series(l, s, -1.0)
+            row[small] = _i[l].series_at(s, -s * s)
     if not np.all(small):
         big = ~small
         c = x1[big]
@@ -190,9 +273,7 @@ def mod_sph_bessel_i(l: int, x):
     """
     _check_order(l)
     xa = _checked_argument(x)
-    if isinstance(xa, float):
-        return float(_bessel_series(l, xa, 1.0) if xa < _SERIES_CUT else _i_closed(l, xa))
-    return _split(xa, lambda s: _bessel_series(l, s, 1.0), lambda s: _i_closed(l, s))
+    return _i[l](xa)
 
 
 def mod_sph_bessel_k(l: int, x):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Region, region_of
+from .model import ModelParams
 from .quadrature import PANEL_ORDER, _panel_sums
 from .specfun import sph_bessel_j
 from .wf_coordinate import uw_coordinate
@@ -79,18 +79,9 @@ class TransformConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransformPoint:
-    r: float
-    region: Region
-    dev_u: float
-    dev_w: float
-
-
-@dataclass(frozen=True)
 class TransformReport:
     max_abs_dev_u: float
     max_abs_dev_w: float
-    points: tuple
 
 
 def _hankel(l: int, z, s: int):
@@ -185,20 +176,9 @@ def validate_transforms(params: ModelParams) -> TransformReport:
     factor r and both sides vanish there).  Each radius is one transform
     of both channels.
     """
-    points = []
+    dev_u = dev_w = 0.0
     for r in DEFAULT_R_GRID:
         ur, wr = bessel_transform(params, r)
         u, w = uw_coordinate(r, params).tolist()
-        points.append(
-            TransformPoint(
-                r=float(r),
-                region=region_of(r, params),
-                dev_u=abs(ur - u),
-                dev_w=abs(wr - w),
-            )
-        )
-    return TransformReport(
-        max_abs_dev_u=max(p.dev_u for p in points),
-        max_abs_dev_w=max(p.dev_w for p in points),
-        points=tuple(points),
-    )
+        dev_u, dev_w = max(dev_u, abs(ur - u)), max(dev_w, abs(wr - w))
+    return TransformReport(max_abs_dev_u=dev_u, max_abs_dev_w=dev_w)

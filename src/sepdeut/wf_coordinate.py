@@ -9,22 +9,19 @@ three analytic regions with boundaries at b2-b1 and b1+b2:
 
 For equal ranges the inner interval is empty and the middle branch covers
 [0, 2b].  Two numerical traps hide in the D-channel middle bracket and are
-handled by exact algebraic regroupings rather than extra precision:
+handled by exact algebraic regroupings rather than extra precision, each
+a `specfun._ExpPoly` table that sums its exact series below 0.5:
 
 * the 1/(alpha r)^2 pieces of the bracket cancel analytically; the
-  combination g(x) = x*k2(x) - 3/x^2 + 1/2 = x^2/8 - x^3/15 + ... is
-  evaluated by series below x = 0.5 (closed form loses ~4 digits there,
-  all of them near the origin);
+  combination g(x) = x*k2(x) - 3/x^2 + 1/2 = x^2/8 - x^3/15 + ... is the
+  table `_g` (its closed form loses ~4 digits near the origin);
 * the r-independent bracket coefficients are differences of O(1)
-  quantities that shrink like (b2-b1)^2 and (b2-b1)^4; they are
-  rearranged into explicitly small factors (sinh(y)-y and
-  sinh^2(y/2)-(y/2)^2 groupings) so nearly-equal ranges keep full
-  precision.
+  quantities that shrink like (b2-b1)^2 and (b2-b1)^4; each is one table
+  in y = alpha*(b2-b1) that vanishes like y^4 or y^6, plus a term with no
+  cancellation, so nearly-equal ranges keep full precision.
 
-The series for g, g' and sinh(y)-y, like the i2 series behind x*i2(x),
-come from the exact-rational generator `specfun._exact_series`, fed the
-same exp-polynomial that the closed form evaluates, and switch at the
-same cut, 0.5.
+The inner and middle D-waves read x*i2(x) from its table too, `_xi2`, and
+every profile's slope is its table's generated slope.
 
 The inner D-channel coefficient carries a minus sign: the direct
 numerical transform of the momentum wavefunction is negative below
@@ -51,72 +48,36 @@ import math
 import numpy as np
 
 from .model import ModelParams, Region, _region_masks
-from .specfun import (
-    _SERIES_CUT,
-    _horner,
-    _series_table,
-    _split,
-    mod_sph_bessel_i,
-    mod_sph_bessel_k,
-)
+from .specfun import _I_PIECES, _ExpPoly, mod_sph_bessel_i, mod_sph_bessel_k
 
-# sinh y - y = e^y/2 - e^-y/2 - y = y^3 * sum_m c_m y^(2m)
-_SINH_MINUS_PIECES = ((0.5, (1,), 1), (-0.5, (1,), -1), (-1, (0, 1), 0))
-_SINH_MINUS_SERIES = _series_table(_SINH_MINUS_PIECES, 3, 8, 2)
+# x * i2(x), from the pieces of x^3 i2(x)
+_xi2 = _ExpPoly(_I_PIECES[2], 2, 5, 8, 2)
 
 # g(x) = x*k2(x) - 3/x^2 + 1/2: the 1/x^2 poles of the middle bracket
 # cancel inside this combination.  x^2 g = e^-x (x^2+3x+3) - 3 + x^2/2,
 # so g(x) = x^2 * sum_m c_m x^m.
-_G_PIECES = ((1, (3, 3, 1), -1), (1, (-3, 0, 0.5), 0))
-_G_SERIES = _series_table(_G_PIECES, 4, 15)
+_g = _ExpPoly(((1, (3, 3, 1), -1), (1, (-3, 0, 0.5), 0)), 2, 4, 15)
 
-# g'(x) = (x k2)'(x) + 6/x^3, and x^3 g' = 6 - e^-x (x^3+3x^2+6x+6),
-# so g'(x) = x * sum_m c_m x^m.
-_DG_PIECES = ((-1, (6, 6, 3, 1), -1), (1, (6,), 0))
-_DG_SERIES = _series_table(_DG_PIECES, 4, 15)
-
-
-# ---------------------------------------------------------------------------
-# stable scalar helpers for the bracket coefficients
-
-def _sinh_minus(y: float) -> float:
-    """sinh(y) - y without cancellation (series below the cut)."""
-    if abs(y) >= _SERIES_CUT:
-        return math.sinh(y) - y
-    return y**3 * _horner(_SINH_MINUS_SERIES, y * y)
-
-
-def _sinh_sq_minus(t: float) -> float:
-    """sinh(t)^2 - t^2, factored as (sinh t - t)(sinh t + t)."""
-    return _sinh_minus(t) * (math.sinh(t) + t)
+# The middle w's r-independent coefficients, in y = alpha*(b2 - b1), are
+# const = C0(y) - 8 alpha^2 b1 b2 sinh^2(y/2) and
+# pole = P0(y) + 48 alpha^2 b1 b2 S2(y), where each table is even in y and
+# vanishes like its leading power, so near-equal ranges keep full precision:
+# C0 = 2y^2 - 4 + (2-2y) e^y + (2+2y) e^-y            = -y^4/2 + ...
+# P0 = 12(y-1) e^y - 12(y+1) e^-y + 24 - 12y^2 - 3y^4  = O(y^6)
+# S2 = sinh^2(y/2) - y^2/4 = (e^y + e^-y - 2 - y^2)/4  = y^4/48 + ...
+_C0 = _ExpPoly(((2, (1, -1), 1), (2, (1, 1), -1), (1, (-4, 0, 2), 0)), 0, 4, 8, 2)
+_P0 = _ExpPoly(((12, (-1, 1), 1), (-12, (1, 1), -1), (1, (24, 0, -12, 0, -3), 0)), 0, 6, 8, 2)
+_S2 = _ExpPoly(((0.25, (1,), 1), (0.25, (1,), -1), (-0.25, (2, 0, 1), 0)), 0, 4, 8, 2)
 
 
 # ---------------------------------------------------------------------------
 # array-aware radial profile pieces of x >= 0 and their x-derivatives (d = 1)
-
-def _xi2(x, d=0):
-    """x * i2(x), or its derivative x * i1(x) - 2 * i2(x)."""
-    xa = np.asarray(x, dtype=float)
-    if d:
-        return xa * mod_sph_bessel_i(1, xa) - 2.0 * mod_sph_bessel_i(2, xa)
-    return xa * mod_sph_bessel_i(2, xa)
-
 
 def _xk2(x, e, d=0):
     """x * k2(x) = e*(1 + 3/x + 3/x^2) with e = exp(-x), or its derivative; needs x > 0."""
     if d:
         return -e * (1.0 + 3.0 / x + 6.0 / (x * x) + 6.0 / (x * x * x))
     return e * (1.0 + 3.0 / x + 3.0 / (x * x))
-
-
-def _g(x, d=0):
-    """g(x), or its derivative g'(x) = (x k2)'(x) + 6/x^3."""
-    xa = np.asarray(x, dtype=float)
-    if d:
-        return _split(xa, lambda s: s * _horner(_DG_SERIES, s),
-                      lambda s: _xk2(s, np.exp(-s), 1) + 6.0 / (s * s * s))
-    return _split(xa, lambda s: s * s * _horner(_G_SERIES, s),
-                  lambda s: _xk2(s, np.exp(-s)) - 3.0 / (s * s) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +108,19 @@ def _gap(p: ModelParams) -> float:
 
 def _middle_coefficients(p: ModelParams, d):
     al = p.alpha
-    cosh_gap = 2.0 * math.sinh(0.5 * al * _gap(p)) ** 2  # cosh(alpha*delta) - 1
+    y = al * _gap(p)
+    sinh_sq = math.sinh(0.5 * y) ** 2
+    cosh_gap = 2.0 * sinh_sq  # cosh(alpha*delta) - 1
     es = math.exp(-al * p.range_sum)
     b1b2 = p.b1 * p.b2
-    y = al * _gap(p)
-    ab_m1 = al * al * b1b2 - 1.0
-    # r-independent w coefficients, grouped so near-equal ranges do not
-    # cancel: each piece is explicitly O(y^2) or better where it must be.
+    ab = al * al * b1b2
     # Ranges equal within EPS_REGION take y = 0, which drops the pole:
     # r = 0 lies in this region then, where pole / x^2 would divide by 0.
-    const = 2.0 * y**2 - 8.0 * ab_m1 * math.sinh(0.5 * y) ** 2 - 4.0 * y * math.sinh(y)
-    pole = 24.0 * y * _sinh_minus(y) + 48.0 * ab_m1 * _sinh_sq_minus(0.5 * y) - 3.0 * y**4
-    growth = es * (al * al * b1b2 + al * p.range_sum + 1.0)
-    mix = ab_m1 * math.cosh(y) + y * math.sinh(y)
+    # The tables vanish at y = 0, so equal ranges skip them.
+    const = _C0(y) - 8.0 * ab * sinh_sq if y else 0.0
+    pole = _P0(y) + 48.0 * ab * _S2(y) if y else 0.0
+    growth = es * (ab + al * p.range_sum + 1.0)
+    mix = (ab - 1.0) * math.cosh(y) + y * math.sinh(y)
     return (p.A / (2.0 * al * al * p.b1 * p.b2) * al**d, cosh_gap, es,
             p.B / (16.0 * al**4 * b1b2 * b1b2) * al**d, const, pole, growth, mix)
 
@@ -182,8 +143,11 @@ def _middle(x, d, u_scale, cosh_gap, es, w_scale, const, pole, growth, mix):
 
 def _outer_coefficients(p: ModelParams, d):
     al = p.alpha
-    u = p.A * mod_sph_bessel_i(0, al * p.b1) * mod_sph_bessel_i(0, al * p.b2) * (-al) ** d
-    w = p.B * mod_sph_bessel_i(1, al * p.b1) * mod_sph_bessel_i(1, al * p.b2) * al**d
+    i_b1 = [mod_sph_bessel_i(l, al * p.b1) for l in (0, 1)]
+    # equal ranges evaluate i_0 and i_1 once, as form_factors does j_0, j_1
+    i_b2 = i_b1 if p.b2 == p.b1 else [mod_sph_bessel_i(l, al * p.b2) for l in (0, 1)]
+    u = p.A * i_b1[0] * i_b2[0] * (-al) ** d
+    w = p.B * i_b1[1] * i_b2[1] * al**d
     return u, w
 
 

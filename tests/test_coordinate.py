@@ -1,21 +1,14 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from sepdeut.model import ModelParams, Region, region_of
 from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels
-from sepdeut.specfun import _horner, mod_sph_bessel_k
-from sepdeut.wf_coordinate import (
-    _DG_SERIES,
-    _G_SERIES,
-    _SINH_MINUS_SERIES,
-    _g,
-    _sinh_minus,
-    branch,
-    uw_coordinate,
-)
+from sepdeut.specfun import mod_sph_bessel_k
+from sepdeut.wf_coordinate import _C0, _P0, _S2, _g, _middle_coefficients, branch, uw_coordinate
 
 ALPHA = 0.23165
 
@@ -390,16 +383,17 @@ def test_branch_rejects_unknown_region_and_bad_radii():
 
 
 # Both paths of each bracket helper must agree across the switch at 0.5,
-# on the same band as the j_l / i_l check in test_specfun.  The closed
-# form of g cancels 3/x^2 against the pole of x*k2(x) down to O(x^2/8)
-# and loses ~3 digits near x = 0.35, hence its looser tolerance.
+# on the same band as the j_l / i_l check in test_specfun, and with the
+# bracket written out by hand.  The closed form of g cancels 3/x^2 against
+# the pole of x*k2(x) down to O(x^2/8) and loses ~3 digits near x = 0.35,
+# hence its looser tolerance.
 SWITCH_BAND = np.linspace(0.35, 0.65, 61)
 
 
 def test_g_series_and_closed_agree_in_switch_band():
     x = SWITCH_BAND
     closed = x * mod_sph_bessel_k(2, x) - 3.0 / (x * x) + 0.5
-    series = x * x * _horner(_G_SERIES, x)
+    series = _g.series_at(x, x)
     assert np.max(np.abs(series - closed) / np.abs(closed)) < 5e-12
     assert np.max(np.abs(_g(x) - closed) / np.abs(closed)) < 5e-12
 
@@ -408,14 +402,60 @@ def test_dg_series_and_closed_agree_in_switch_band():
     # g'(x) = (x k2)'(x) + 6/x^3 cancels 6/x^3 down to O(x/4)
     x = SWITCH_BAND
     closed = -np.exp(-x) * (1.0 + 3.0 / x + 6.0 / x**2 + 6.0 / x**3) + 6.0 / x**3
-    series = x * _horner(_DG_SERIES, x)
+    series = _g.series_at(x, x, 1)
     assert np.max(np.abs(series - closed) / np.abs(closed)) < 5e-12
     assert np.max(np.abs(_g(x, 1) - closed) / np.abs(closed)) < 5e-12
 
 
-def test_sinh_minus_series_and_closed_agree_in_switch_band():
-    for y in SWITCH_BAND:
-        closed = math.sinh(y) - y
-        series = y**3 * _horner(_SINH_MINUS_SERIES, y * y)
-        assert abs(series - closed) < 1e-14 * abs(closed)
-        assert abs(_sinh_minus(y) - closed) < 1e-14 * abs(closed)
+def test_gap_tables_series_and_closed_agree_in_switch_band():
+    # C0, P0 and S2 of the middle w's coefficients, written out by hand:
+    # they vanish like y^4 to y^6, so the hand forms lose up to ~4 digits
+    # (measured: 9.5e-12, P0)
+    for y in SWITCH_BAND.tolist():
+        e, s = math.exp(y), math.sinh(0.5 * y)
+        hand = {
+            _C0: 2.0 * y * y - 4.0 + (2.0 - 2.0 * y) * e + (2.0 + 2.0 * y) / e,
+            _P0: 12.0 * (y - 1.0) * e - 12.0 * (y + 1.0) / e + 24.0 - 12.0 * y * y - 3.0 * y**4,
+            _S2: s * s - 0.25 * y * y,
+        }
+        for table, closed in hand.items():
+            series = table.series_at(y, y * y)
+            for value in (series, table(y)):
+                assert abs(value - closed) < 2e-11 * abs(closed)
+
+
+# The FOUND point of the middle w near the inner boundary at a small gap:
+# (b1, b2, alpha), with y = alpha*(b2 - b1) = 0.0293.  The w coefficients'
+# pole and const were 3.6e-14 and 6.2e-15 off, relative, when summed from
+# O(1)*y^4 terms, and the middle branch's w was 3.3e-11 off the inner one
+# at r = b2 - b1.
+SMALL_GAP = (0.8630907246683204, 1.009481874289787, 0.200069984570407)
+
+
+def _gap_coefficients_50_digits(p):
+    """(const, pole) at the coefficients' own doubles y and alpha^2 b1 b2, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        y, ab = Decimal(p.alpha * p.delta), Decimal(p.alpha * p.alpha * (p.b1 * p.b2))
+        sinh = (y.exp() - (-y).exp()) / 2
+        sinh_half_sq = ((y / 2).exp() - (-y / 2).exp()) ** 2 / 4
+        const = 2 * y * y - 8 * (ab - 1) * sinh_half_sq - 4 * y * sinh
+        pole = 24 * y * (sinh - y) + 48 * (ab - 1) * (sinh_half_sq - y * y / 4) - 3 * y**4
+        return const, pole
+
+
+def test_middle_w_is_continuous_at_a_small_gap():
+    b1, b2, alpha = SMALL_GAP
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=1.0, B=1.0)
+    *_, const, pole, _, _ = _middle_coefficients(p, 0)
+    const_ref, pole_ref = _gap_coefficients_50_digits(p)
+    # measured: 1.8e-16 and 1.4e-16
+    assert abs((Decimal(const) - const_ref) / const_ref) < 5e-16
+    assert abs((Decimal(pole) - pole_ref) / pole_ref) < 5e-16
+    # the value and slope gaps of w at r = b2 - b1, as validate reports them;
+    # measured: 4.1e-13 and 9.9e-13
+    r0 = p.delta
+    (_, w_in), (_, w_mid) = branch(Region.INNER, r0, p), branch(Region.MIDDLE, r0, p)
+    (_, s_in), (_, s_mid) = branch(Region.INNER, r0, p, 1), branch(Region.MIDDLE, r0, p, 1)
+    assert abs(w_in - w_mid) / max(abs(w_in), abs(w_mid)) < 1e-12
+    assert abs(s_in - s_mid) / max(abs(s_in), abs(s_mid)) < 2e-12

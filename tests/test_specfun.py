@@ -1,37 +1,23 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
-from sepdeut.observables import (
-    _PD_PIECES,
-    _PD_SERIES,
-    _PD_SERIES_CUT,
-    _PS_PIECES,
-    _PS_SERIES,
-    _PS_SERIES_CUT,
-)
+from sepdeut import observables, specfun, wf_coordinate
 from sepdeut.specfun import (
+    _i,
     _I_PIECES,
-    _I_SERIES,
     _SERIES_CUT,
-    _bessel_series,
+    _ExpPoly,
     _exact_series,
-    _i_closed,
     _j_closed,
+    _polys_by_rate,
     mod_sph_bessel_i,
     mod_sph_bessel_k,
     sph_bessel_j,
-)
-from sepdeut.wf_coordinate import (
-    _DG_PIECES,
-    _DG_SERIES,
-    _G_PIECES,
-    _G_SERIES,
-    _SINH_MINUS_PIECES,
-    _SINH_MINUS_SERIES,
 )
 
 # High-precision reference values (40-digit arithmetic, rounded to double).
@@ -39,15 +25,24 @@ J2_AT_1 = 0.062035052011373861
 I0_AT_0342 = 1.0196083228142183
 K2_AT_0342 = 73.57057131125946
 
-# every generated series table: (pieces, leading power, step, table, cut)
-SERIES_TABLES = {
-    **{f"i{l}": (_I_PIECES[l], 2 * l + 1, 2, _I_SERIES[l], _SERIES_CUT) for l in range(3)},
-    "sinh_minus": (_SINH_MINUS_PIECES, 3, 2, _SINH_MINUS_SERIES, _SERIES_CUT),
-    "g": (_G_PIECES, 4, 1, _G_SERIES, _SERIES_CUT),
-    "g'": (_DG_PIECES, 4, 1, _DG_SERIES, _SERIES_CUT),
-    "P_S": (_PS_PIECES, 4, 1, _PS_SERIES, _PS_SERIES_CUT),
-    "P_D": (_PD_PIECES, 9, 1, _PD_SERIES, _PD_SERIES_CUT),
-}
+
+def _exp_polys():
+    """Every _ExpPoly that specfun, wf_coordinate and observables build, by
+    name: `_P_S` as "P_S", and the members of the tuple `_i` as "i0", "i1", ..."""
+    found = {}
+    for module in (specfun, wf_coordinate, observables):
+        for name, value in vars(module).items():
+            for i, e in enumerate(value) if isinstance(value, tuple) else [("", value)]:
+                if isinstance(e, _ExpPoly):
+                    found[f"{name.lstrip('_')}{i}"] = e
+    return found
+
+
+EXP_POLYS = _exp_polys()
+
+
+def test_every_table_is_found():
+    assert sorted(EXP_POLYS) == ["C0", "P0", "P_D", "P_S", "S2", "g", "i0", "i1", "i2", "xi2"]
 
 
 def test_small_argument_limits():
@@ -79,25 +74,106 @@ def test_series_and_closed_agree_in_switch_band(l):
     # x = 0.35, losing ~3 digits, so its tolerance is correspondingly looser
     tol = 1e-13 if l < 2 else 5e-12
     x = np.linspace(0.35, 0.65, 61)
-
-    def j_closed(l, x):
-        return _j_closed(l, x, np.sin(x), np.cos(x))
-
-    for closed, sign in ((j_closed, -1.0), (_i_closed, 1.0)):
-        a = closed(l, x)
-        b = _bessel_series(l, x, sign)
+    j = (_j_closed(l, x, np.sin(x), np.cos(x)), _i[l].series_at(x, -x * x))
+    i = (_i[l].closed(x), _i[l].series_at(x, x * x))
+    for a, b in (j, i):
         assert np.max(np.abs(a - b) / np.abs(a)) < tol
 
 
-@pytest.mark.parametrize("name", sorted(SERIES_TABLES))
+@pytest.mark.parametrize("name", sorted(EXP_POLYS))
 def test_series_truncation_below_one_ulp(name):
     # the first exact term a table leaves out, at the table's cut, must be
     # below 2^-52 of the leading term there
-    pieces, leading_power, step, table, cut = SERIES_TABLES[name]
-    n = len(table)
-    exact = _exact_series(pieces, leading_power, n + 1, step)
-    assert tuple(float(c) for c in exact[:n]) == table
-    assert abs(exact[n]) * Fraction(cut) ** (step * n) < Fraction(1, 2**52) * abs(exact[0])
+    e = EXP_POLYS[name]
+    n = e.n_terms
+    exact = _exact_series(e.pieces, e.leading_power, n + 1, e.step)
+    assert tuple(float(c) for c in exact[:n]) == e.series
+    assert abs(exact[n]) * Fraction(e.cut) ** (e.step * n) < Fraction(1, 2**52) * abs(exact[0])
+    # and of the slope's series, the value's term by term: c_m x^k -> k c_m x^(k-1)
+    powers = [e.leading_power - e.p + e.step * m for m in range(n + 1)]
+    slope = [k * c for k, c in zip(powers, exact) if k]
+    assert tuple(float(c) for c in slope[:-1]) == e.slope_series
+    assert abs(slope[-1]) * Fraction(e.cut) ** (e.step * (len(slope) - 1)) < Fraction(1, 2**52) * abs(slope[0])
+
+
+# largest relative gap between series and closed form, value and slope,
+# over [0.7 cut, 1.3 cut], as measured and rounded up: from 2.2e-16 (i0) to
+# 7.6e-10 (P_D, whose closed form at 0.7 of its cut cancels x^9 out of
+# terms of 300)
+BAND_TOL = {
+    "P_D": (1e-9, 1e-10), "P_S": (2e-13, 2e-14),
+    "i0": (5e-16, 1e-14), "i1": (1e-14, 2e-14), "i2": (2e-12, 2e-12),
+    "C0": (1e-13, 5e-15), "g": (5e-13, 5e-13), "P0": (2e-11, 5e-13),
+    "S2": (3e-13, 3e-14), "xi2": (2e-12, 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_POLYS))
+def test_series_and_closed_agree_around_the_cut(name):
+    e = EXP_POLYS[name]
+    x = np.linspace(0.7 * e.cut, 1.3 * e.cut, 121)
+    t = x * x if e.step == 2 else x
+    for d, tol in enumerate(BAND_TOL[name]):
+        series, closed = e.series_at(x, t, d), e.closed(x, d)
+        assert np.max(np.abs(series - closed) / np.abs(closed)) < tol, d
+
+
+def _reference(e, x, d):
+    """40-digit value (d = 0) or slope (d = 1) of e's pieces at the double x."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(x)
+        total = Decimal(0)
+        for scale, poly, rate in e.pieces:
+            coeffs = [Decimal(scale) * Decimal(c) for c in poly]
+            value = sum(c * x**j for j, c in enumerate(coeffs))
+            if d:  # (P' + (rate - p/x) P) exp(rate x) / x^p
+                value = sum(j * c * x ** (j - 1) for j, c in enumerate(coeffs) if j) + (rate - e.p / x) * value
+            total += value * (rate * x).exp()
+        return total / x**e.p
+
+
+# largest relative error of value and slope against 40-digit arithmetic on
+# 200 log-spaced points from the cut to 40.  Where a hand-written function
+# was replaced, the bound is its error on the same grid, and the table is
+# no worse: P_S 3.2e-14 (table 1.5e-14), i1 2.6e-15 (1.4e-15), i2 and x i2
+# 1.35e-13 (9.6e-14), (x i2)' 8.7e-14 (7.3e-14), g 9.4e-14 (7.5e-14),
+# g' 8.0e-14 (7.0e-14).  Two are worse there, within their round-off:
+# P_D 1.05e-11 (table 1.24e-11, both from cancelling x^9 out of terms of
+# 300 at the cut) and i0 1.8e-16 (2.7e-16, about one ulp); their bounds and
+# the rest are the measured errors, rounded up.
+ERROR_TOL = {
+    "P_D": (1.5e-11, 2.5e-12), "P_S": (3.2e-14, 4e-15),
+    "i0": (3.5e-16, 2e-15), "i1": (2.6e-15, 5e-15), "i2": (1.35e-13, 2e-13),
+    "C0": (2e-14, 1e-15), "g": (9.4e-14, 8e-14), "P0": (1e-12, 1e-13),
+    "S2": (5e-14, 6e-15), "xi2": (1.35e-13, 8.7e-14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_POLYS))
+def test_value_and_slope_against_40_digits(name):
+    e = EXP_POLYS[name]
+    for d, tol in enumerate(ERROR_TOL[name]):
+        for x in np.geomspace(e.cut, 40.0, 200).tolist():
+            ref = _reference(e, x, d)
+            assert abs((Decimal(e(x, d)) - ref) / ref) < tol, (x, d)
+
+
+def test_generated_slope_of_g_is_the_hand_expansion():
+    # g'(x) = (x k2)'(x) + 6/x^3, and x^3 g' = 6 - e^-x (x^3+3x^2+6x+6):
+    # the expansion derived by hand before the slopes were generated
+    hand = ((-1, (6, 6, 3, 1), -1), (1, (6,), 0))
+    g = wf_coordinate._g
+    assert g.slope_polys == _polys_by_rate(hand)
+    assert g.slope_series == tuple(float(c) for c in _exact_series(hand, 4, g.n_terms))
+
+
+@pytest.mark.parametrize("name", sorted(EXP_POLYS))
+def test_scalar_call_equals_one_element_array_call_for_every_table(name):
+    e = EXP_POLYS[name]
+    x = np.concatenate([np.geomspace(1e-3, 40.0, 300), [np.nextafter(e.cut, 0.0), e.cut]])
+    for d in (0, 1):
+        assert [e(v, d) for v in x.tolist()] == e(x, d).tolist()
 
 
 def test_series_generator_rejects_uncancelled_leading_terms():
@@ -159,7 +235,7 @@ def test_j_is_series_below_the_cut_and_closed_form_from_it():
     small = x < _SERIES_CUT
     for l in (0, 1, 2):
         got = sph_bessel_j(l, x)
-        assert got[small].tolist() == _bessel_series(l, x[small], -1.0).tolist()
+        assert got[small].tolist() == _i[l].series_at(x[small], -x[small] * x[small]).tolist()
         big = x[~small]
         assert got[~small].tolist() == _j_closed(l, big, np.sin(big), np.cos(big)).tolist()
         two = np.array([2.0])
