@@ -12,7 +12,7 @@ Exit codes
 ----------
 0  success
 1  a validate check failed
-2  bad parameters or arguments
+2  bad parameters or arguments, or parameters whose arithmetic fails
 3  quadrature or transform did not converge
 4  file I/O failure
 5  fit did not converge
@@ -324,6 +324,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    except ArithmeticError as exc:  # a parameter too small or too large for the floats
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except (QuadratureError, TransformConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ For equal ranges the probability integrals have closed forms: each is a
 prefactor times a bracket in x = alpha*b mixing a polynomial with
 exp(-2x) and exp(-4x) terms.  The brackets vanish like x^4 (S) and x^9
 (D) while their individual terms stay O(1), so below their cuts, 0.3 and
-0.45, they are summed from their Taylor series instead.  Each bracket is
+1.5, they are summed from their Taylor series instead.  Each bracket is
 one `specfun._ExpPoly` table, whose series the package's one series
 generator expands from the same pieces as the closed form, in exact
 rationals and with the leading-term cancellation asserted.
@@ -17,18 +17,22 @@ Parseval partner over the coordinate-space branches,
 in one call.
 
 The rms radius and quadrupole moment come from three radial moments of
-the coordinate-space branches at unit strengths, integrated together
-from one `uw_coordinate` call (both channels over one region split);
+the coordinate-space branches at unit strengths, integrated together;
 with the two norm integrals they form one moment record, over which
 every observable is a quadratic form in the strengths (A, B).  `report`
 is their one entry point.  Every quadrature runs at the package's one
 panel order, `quadrature.PANEL_ORDER`.
 
+The r-space panels, `radial_scheme`, live here with the integrands that
+rely on their layout: one panel per region below the outer boundary, so
+`_radial_integrals` calls each region's `wf_coordinate.branch` once, on
+that region's nodes, with no region masks.
+
 Records at many ranges, such as the fit's Chebyshev nodes, are batched:
 `_moments` takes sequences of ranges and integrates the radial moments of
-`_BLOCK` records per `_rms_core` call, from one `uw_coordinate` call and
-one integral over all their panels.  Each record is the double of its
-one-record call, which is the one-row case of the same code.
+`_BLOCK` records per `_rms_core` call, from one `branch` call per region
+and one integral over all their panels.  Each record is the double of
+its one-record call, which is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
-from .quadrature import integrate_panels, momentum_scheme, radial_scheme
+from .model import ModelParams, Region
+from .quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, momentum_scheme
 from .specfun import _ExpPoly
-from .wf_coordinate import _outer_coefficients, uw_coordinate
+from .wf_coordinate import _outer_coefficients, branch
 from .wf_momentum import uw_momentum
 
 _NORMALISATION_WARN_TOL = 1e-3
@@ -56,9 +60,9 @@ _BLOCK = 3
 
 
 # The equal-range brackets in x = alpha*b.  Below their cuts the closed
-# forms lose more than half their digits to cancellation and the series
-# takes over; within 2 % of the cuts the two agree to 4e-14 (S) and 6e-11
-# (D) relative.
+# forms lose digits to cancellation and the series takes over.  D's closed
+# form cancels x^9 out of terms of about 300, so its cut lies at 1.5: its
+# value stays within 6e-15 and its slope within 2e-14 of 60-digit arithmetic.
 # S: 8x - 9 + 4*(2x+3)*exp(-2x) - (4x+3)*exp(-4x) = x^4 * sum_m c_m x^m
 _P_S = _ExpPoly(((1, (-9, 8), 0), (4, (3, 2), -2), (-1, (3, 4), -4)), 0, 4, 23, cut=0.3)
 
@@ -71,7 +75,7 @@ _P_D = _ExpPoly(
         (-60, (-7, -14, -4, 8, 7, 2), -2),
         (-15, (7, 28, 46, 40, 19, 4), -4),
     ),
-    0, 9, 22, cut=0.45,
+    0, 9, 36, cut=1.5,
 )
 
 
@@ -97,11 +101,44 @@ def probabilities_numeric(params: ModelParams):
 
 def probabilities_coordinate(params: ModelParams):
     """(P_S, P_D) over u(r)^2 and w(r)^2 (Parseval partner of the k form)."""
+    return tuple(_radial_integrals(params, lambda r, u, w: np.square((u, w))).tolist())
+
+
+def radial_scheme(params) -> QuadratureScheme:
+    """Panels for semi-infinite r-space observable integrals.
+
+    Breakpoints at the region boundaries (piecewise-analytic integrands),
+    so each region below b1 + b2 is one panel, then one decay length 1/alpha per panel out to 40 decay lengths past
+    the outer boundary, where the exp(-2*alpha*r) envelope puts the
+    dropped tail far below every tolerance used here.  A sequence of
+    parameter records, all equal or all unequal ranges, gives the batched
+    scheme of their integrals.
+    """
+    if isinstance(params, ModelParams):
+        return QuadratureScheme(PANEL_ORDER, _radial_breakpoints(params))
+    return QuadratureScheme(PANEL_ORDER, tuple(zip(*map(_radial_breakpoints, params), strict=True)))
+
+
+def _radial_breakpoints(params: ModelParams) -> tuple:
+    outer = params.range_sum
+    width = 1.0 / params.alpha
+    inner = () if params.equal_range else (params.delta,)
+    return (0.0, *inner, outer, *(outer + i * width for i in range(1, 41)))
+
+
+def _radial_integrals(params, rows):
+    """Integrals of the stack rows(r, u, w) over `radial_scheme(params)`,
+    from one `branch` call per region on that region's panels."""
+    first = params if isinstance(params, ModelParams) else params[0]
+    regions = (Region.MIDDLE, Region.OUTER) if first.equal_range else tuple(Region)
+    cuts = PANEL_ORDER * np.arange(1, len(regions))  # node index where each region after the first starts
 
     def f(r):
-        return uw_coordinate(r, params) ** 2
+        parts = np.split(r, cuts, axis=-1)
+        u, w = np.concatenate([branch(region, part, params) for region, part in zip(regions, parts)], axis=-1)
+        return rows(r, u, w)
 
-    return tuple(integrate_panels(f, radial_scheme(params)).tolist())
+    return integrate_panels(f, radial_scheme(params))
 
 
 def _probabilities(params: ModelParams):
@@ -142,16 +179,13 @@ def solve_normalisation(
 def _rms_core(units) -> np.ndarray:
     """Radial moments (R_S, R_D, X) = integrals of r^2 (u^2, w^2, u w).
 
-    `units` is a record with A = B = 1.  One integrand call evaluates u and w
-    together on every node, over one region split, and returns the three
-    integrands stacked.  `units` may also be a sequence of m records, all
-    equal or all unequal ranges: one integral and one integrand call then
-    serve them all, and the moments come as shape (3, m), each column the
-    doubles of its record's own call.
+    `units` is a record with A = B = 1, or a sequence of m such records,
+    all equal or all unequal ranges: one integral then serves them all,
+    and the moments come as shape (3, m), each column the doubles of its
+    record's own call.
     """
 
-    def f(r):
-        u, w = uw_coordinate(r, units)
+    def rows(r, u, w):
         out = np.empty((3,) + r.shape)  # r^2 u u, r^2 w w, r^2 u w, with no temporaries
         r2 = np.multiply(r, r, out=out[1])
         np.multiply(r2, u, out=out[0])
@@ -161,7 +195,7 @@ def _rms_core(units) -> np.ndarray:
         r2 *= w
         return out
 
-    return integrate_panels(f, radial_scheme(units))
+    return _radial_integrals(units, rows)
 
 
 @dataclass(frozen=True)

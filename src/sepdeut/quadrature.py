@@ -4,7 +4,8 @@ The integrands in this package are piecewise-analytic products of
 exponentials, low-degree polynomials and slow oscillations, so fixed-order
 Gauss-Legendre panels between known breakpoints beat any adaptive scheme;
 the only care needed is placing breakpoints at the region boundaries and
-at the zeros of the oscillatory factors.
+at the zeros of the oscillatory factors.  The r-space panels live with
+their integrands in `observables`.
 
 An integral evaluates its integrand once: the nodes of all panels are
 built as one array, passed to the integrand in a single call, checked for
@@ -121,28 +122,6 @@ def integrate_panels(f, scheme: QuadratureScheme):
     sums = half * _panel_sums(f, edges[..., :-1], half[..., None], scheme.panel_order)
     totals = np.array([math.fsum(row) for row in sums.reshape(-1, sums.shape[-1]).tolist()])
     return float(totals[0]) if sums.ndim == 1 else totals.reshape(sums.shape[:-1])
-
-
-def radial_scheme(params) -> QuadratureScheme:
-    """Panels for semi-infinite r-space observable integrals.
-
-    Breakpoints at the region boundaries (piecewise-analytic integrands),
-    then one decay length 1/alpha per panel out to 40 decay lengths past
-    the outer boundary, where the exp(-2*alpha*r) envelope puts the
-    dropped tail far below every tolerance used here.  A sequence of
-    parameter records, all equal or all unequal ranges, gives the batched
-    scheme of their integrals.
-    """
-    if isinstance(params, ModelParams):
-        return QuadratureScheme(PANEL_ORDER, _radial_breakpoints(params))
-    return QuadratureScheme(PANEL_ORDER, tuple(zip(*map(_radial_breakpoints, params), strict=True)))
-
-
-def _radial_breakpoints(params: ModelParams) -> tuple:
-    outer = params.range_sum
-    width = 1.0 / params.alpha
-    inner = () if params.equal_range else (params.delta,)
-    return (0.0, *inner, outer, *(outer + i * width for i in range(1, 41)))
 
 
 def momentum_scheme(params: ModelParams) -> QuadratureScheme:

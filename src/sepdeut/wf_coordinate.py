@@ -28,17 +28,16 @@ numerical transform of the momentum wavefunction is negative below
 b2-b1, and continuity with the middle branch at r = b2-b1 fixes the
 same sign.  The inner D-wave dips below zero whenever b1 != b2.
 
-`uw_coordinate` evaluates u and w together over one region split.  Each
-branch is a set of r-independent coefficients of one record, computed
-with scalar math, times a profile in x = alpha*r; the profiles take the
-coefficients as scalars or as one value per point.  So `uw_coordinate`
-also takes a sequence of records with one row of radii each, and runs
-every region's profiles once for all of them; one record is the one-row
-case.
-
-`branch` evaluates one region's formula on its own, or its exact slope,
-because the continuity checks compare two adjacent formulas at their
-shared boundary.
+`branch` is the one evaluator of a region's formula, its values or its
+exact slopes.  Each branch is a set of r-independent coefficients of one
+record, computed with scalar math, times a profile in x = alpha*r; the
+profiles take the coefficients as scalars or as one column per record.
+So `branch` also takes a sequence of records with one row of radii each,
+and runs the region's profiles once for all of them.  The radial
+integrals call it once per region, on that region's panels; the
+continuity checks compare two adjacent formulas at their shared
+boundary.  `uw_coordinate` sorts arbitrary radii of one record into
+their regions and calls `branch` on each.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def _xk2(x, e, d=0):
 # ---------------------------------------------------------------------------
 # the three regions' branches, each split in two: r-independent
 # coefficients of one record (scalar math), and profiles in x = alpha*r
-# that take the coefficients as scalars or as one value per point, so
+# that take the coefficients as scalars or as one column per record, so
 # one profile call serves many records.  d = 0 gives the value, d = 1 the
 # exact r-derivative from the same coefficients; alpha**d, dx/dr, is
 # folded into the scales.  Each profile returns the rows (u, w).
@@ -175,44 +174,38 @@ def _radii(r, d=0) -> np.ndarray:
     return ra
 
 
-def branch(region: Region, r, params: ModelParams, d=0):
+def branch(region: Region, r, params, d=0):
     """Rows (u, w) of one region's formula at r, inside its region or not.
 
     Shape (2,) + shape(r).  With d = 1 the rows are the formula's exact
     r-slopes, so passing the two regions that meet at a boundary gives the
-    one-sided values and slopes there.
+    one-sided values and slopes there.  `params` may also be a sequence of
+    m records, with r of shape (m, ...) holding each record's radii: the
+    coefficients then come as one column per record, and every row is the
+    doubles of its record's own call.
     """
     if region not in _REGIONS or d not in (0, 1):
         raise ValueError(f"no branch for region {region!r} and derivative order {d!r}")
     coefficients, profiles = _REGIONS[region]
-    x = params.alpha * _radii(r, d)
-    return np.array(profiles(x, d, *np.array(coefficients(params, d))))
+    ra = _radii(r, d)
+    if isinstance(params, ModelParams):
+        columns = np.array((params.alpha, *coefficients(params, d)))
+    elif ra.ndim and len(ra) == len(params):
+        columns = np.array([(p.alpha, *coefficients(p, d)) for p in params]).T
+        columns = columns.reshape(columns.shape + (1,) * (ra.ndim - 1))
+    else:
+        raise ValueError(f"r needs a leading axis of {len(params)} records, got shape {ra.shape}")
+    alpha, *coefs = columns
+    return np.array(profiles(alpha * ra, d, *coefs))
 
 
-def uw_coordinate(r, params):
-    """u(r) and w(r) stacked, shape (2,) + shape(r), from one region split.
-
-    `params` may also be a sequence of m records, with r of shape (m, ...)
-    holding each record's radii: each region's profiles then run once for
-    all records, and give every record the doubles of its one-record call.
-    """
+def uw_coordinate(r, params: ModelParams):
+    """u(r) and w(r) stacked, shape (2,) + shape(r): at each radius, the
+    `branch` of the region holding it."""
     ra = _radii(r)
-    batch = not isinstance(params, ModelParams)
-    records = tuple(params) if batch else (params,)
-    if batch and not (ra.ndim and len(ra) == len(records)):
-        raise ValueError(f"r needs a leading axis of {len(records)} records, got shape {ra.shape}")
-    r2 = ra.reshape(len(records), -1)
-    out = np.empty((2,) + r2.shape)
-    for region, mask in zip(Region, _region_masks(r2, records if batch else params)):
-        counts = mask.sum(axis=1).tolist()
-        present = [i for i, n in enumerate(counts) if n]
-        if not present:
-            continue
-        coefficients, profiles = _REGIONS[region]
-        # alpha and the coefficients, one column per record: one record's
-        # as scalars, several records' repeated over each record's points
-        columns = np.array([(records[i].alpha, *coefficients(records[i], 0)) for i in present]).T
-        alpha, *coefs = np.repeat(columns, [counts[i] for i in present], axis=1) if batch else columns[:, 0]
-        for row, values in zip(out, profiles(alpha * r2[mask], 0, *coefs)):
-            row[mask] = values
+    flat = ra.reshape(-1)
+    out = np.empty((2, flat.size))
+    for region, mask in zip(Region, _region_masks(flat, params)):
+        if mask.any():
+            out[:, mask] = branch(region, flat[mask], params)
     return out.reshape((2,) + ra.shape)

@@ -19,10 +19,11 @@ from sepdeut.observables import (
     probabilities_closed,
     probabilities_coordinate,
     probabilities_numeric,
+    radial_scheme,
     report,
     solve_normalisation,
 )
-from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, radial_scheme
+from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels
 from sepdeut.transform_oracle import validate_transforms
 from sepdeut.wf_coordinate import branch, uw_coordinate
 

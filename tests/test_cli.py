@@ -253,6 +253,27 @@ def test_oversized_grid_exits_2_and_writes_no_file(argv, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["observables", "--b1", "1e-300"], "ZeroDivisionError"),
+        (["observables", "--alpha", "1e-300"], "ZeroDivisionError"),
+        (["wavefunctions", "--b1", "1e-300"], "ZeroDivisionError"),
+        (["fit", "--alpha", "1e-300"], "ZeroDivisionError"),
+        (["observables", "--b1", "1e300"], "OverflowError"),
+    ],
+)
+def test_arithmetic_failure_exits_2_and_writes_no_file(argv, name, tmp_path, capsys):
+    # parameters the floats cannot take: exit 1 would read as a failed validate check
+    target = tmp_path / "out.txt"
+    code, out, err = run(argv + ["--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name}")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_grid_stops_at_its_end(capsys):
     code, out, _ = run(["wavefunctions", "--r-max", "1.0", "--dr", "0.6"], capsys)
     assert code == 0

@@ -349,18 +349,23 @@ def test_uw_coordinate_rows_equal_single_channel_calls(b1, b2, alpha):
         assert len(messages) == 1
 
 
-def test_uw_coordinate_batch_rows_equal_single_records():
+def test_branch_batch_rows_equal_single_records():
     # one call over records of equal and unequal ranges, one row of radii
-    # each: every region's profiles run once for the records with points there
+    # each: every row is its record's own call, for values and slopes
     records = [ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5) for b1, b2, alpha in UW_POINTS]
-    rows = np.array([_boundary_radii(p) for p in records])
-    batch = uw_coordinate(rows, records)
-    assert batch.shape == (2,) + rows.shape
-    for i, p in enumerate(records):
-        assert batch[:, i].tolist() == uw_coordinate(rows[i], p).tolist()
-    assert uw_coordinate(rows[1:2], records[1:2]).tolist() == batch[:, 1:2].tolist()
+    # off r = 0, where the outer formula and some records' middle one have poles
+    radii = np.array([_boundary_radii(p) for p in records]) + 0.01
+    for region in Region:
+        for d in (0, 1):
+            batch = branch(region, radii, records, d)
+            assert batch.shape == (2,) + radii.shape
+            for i, p in enumerate(records):
+                assert batch[:, i].tolist() == branch(region, radii[i], p, d).tolist()
+            assert branch(region, radii[1:2], records[1:2], d).tolist() == batch[:, 1:2].tolist()
     with pytest.raises(ValueError, match="leading axis"):
-        uw_coordinate(rows[:2], records)
+        branch(Region.MIDDLE, radii[:2], records)
+    with pytest.raises(ValueError, match="leading axis"):
+        branch(Region.MIDDLE, 1.0, records)
 
 
 def test_branch_rejects_unknown_region_and_bad_radii():

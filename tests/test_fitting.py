@@ -139,29 +139,29 @@ def test_iterations_count_moment_evaluations(monkeypatch):
 
 
 def test_node_sweep_is_batched(monkeypatch):
-    # the nodes' records come from one radial-wavefunction call and one
-    # integral per block of records; the polish evaluates one record a call
+    # the nodes' records come from one integral per block of records, with
+    # one middle and one outer branch call each (the fit's ranges are
+    # equal); the polish evaluates one record a call
     import sepdeut.observables as obs
 
-    sizes = {"uw": [], "integrals": []}
-    uw, integrate = obs.uw_coordinate, obs.integrate_panels
+    sizes = {"branch": [], "integrals": []}
+    branch, integrate = obs.branch, obs.integrate_panels
 
-    def uw_counted(r, p):
-        sizes["uw"].append(1 if isinstance(p, ModelParams) else len(p))
-        return uw(r, p)
+    def branch_counted(region, r, p, d=0):
+        sizes["branch"].append(1 if isinstance(p, ModelParams) else len(p))
+        return branch(region, r, p, d)
 
     def integrate_counted(f, scheme):
         first = scheme.breakpoints[0]
         sizes["integrals"].append(len(first) if isinstance(first, tuple) else 1)
         return integrate(f, scheme)
 
-    monkeypatch.setattr(obs, "uw_coordinate", uw_counted)
+    monkeypatch.setattr(obs, "branch", branch_counted)
     monkeypatch.setattr(obs, "integrate_panels", integrate_counted)
     res = fit_parameters(FitTargets(r_rms=2.08, Q=0.286), ALPHA)
     sweep = [min(obs._BLOCK, fitting._NODES - i) for i in range(0, fitting._NODES, obs._BLOCK)]
-    for calls in sizes.values():
-        assert calls[:len(sweep)] == sweep
-        assert calls[len(sweep):] == [1] * (res.iterations - fitting._NODES)
+    assert sizes["integrals"] == sweep + [1] * (res.iterations - fitting._NODES)
+    assert sizes["branch"] == [n for n in sizes["integrals"] for _ in range(2)]
 
 
 @pytest.mark.parametrize("r_rms, q", [(2.0, 1e-6), (2.0, 1e-8), (2.08, 1e-6)])

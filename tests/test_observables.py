@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sepdeut.fitting import FitTargets, fit_parameters
-from sepdeut.model import ModelParams
+from sepdeut.model import EPS_REGION, ModelParams, Region, _region_masks
 from sepdeut.observables import (
     ObservablesReport,
     _moments,
@@ -15,10 +15,11 @@ from sepdeut.observables import (
     probabilities_closed,
     probabilities_coordinate,
     probabilities_numeric,
+    radial_scheme,
     report,
     solve_normalisation,
 )
-from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, momentum_scheme, radial_scheme
+from sepdeut.quadrature import PANEL_ORDER, QuadratureScheme, integrate_panels, momentum_scheme
 from sepdeut.specfun import mod_sph_bessel_i
 from sepdeut.wf_coordinate import uw_coordinate
 from sepdeut.wf_momentum import uw_momentum
@@ -269,21 +270,57 @@ def test_quadratic_form_matches_direct_integrals(b1, b2, normalised):
     assert abs(rep.Q - q) < 1e-9
 
 
-def test_report_evaluates_the_radial_wavefunctions_once(monkeypatch):
+def test_report_evaluates_each_region_branch_once(monkeypatch):
+    # one branch call per region, on that region's panels and no other node
     import sepdeut.observables as obs
 
-    calls = []
-    fn = obs.uw_coordinate
-    monkeypatch.setattr(obs, "uw_coordinate", lambda r, p: calls.append(r) or fn(r, p))
-    report(_solved_params())
-    assert len(calls) == 1
+    fn = obs.branch
+    for b1, b2 in ((B_RANGE, B_RANGE), (1.0, 2.0)):
+        A, B = solve_normalisation(b1, ALPHA, 3.0, b2)
+        p = ModelParams(b1=b1, b2=b2, alpha=ALPHA, A=A, B=B)
+        calls = []
+        monkeypatch.setattr(obs, "branch", lambda region, r, q, d=0: calls.append((region, r)) or fn(region, r, q, d))
+        report(p)
+        monkeypatch.undo()
+        regions = [Region.MIDDLE, Region.OUTER] if p.equal_range else list(Region)
+        assert [region for region, _ in calls] == regions
+        assert [r.size for _, r in calls] == [PANEL_ORDER] * (len(regions) - 1) + [40 * PANEL_ORDER]
+        for region, r in calls:
+            assert _region_masks(r, p)[list(Region).index(region)].all()
+
+
+# equal and unequal ranges, gaps either side of EPS_REGION, and the small-gap point
+MASKED_POINTS = [(1.475, 1.475, 0.23165), (1.0, 2.0, 0.23165), (1.2, 1.2 + 0.9 * EPS_REGION, 0.3),
+                 (1.2, 1.2 + 1.1 * EPS_REGION, 0.3), (0.8630907246683204, 1.009481874289787, 0.200069984570407)]
+
+
+@pytest.mark.parametrize("b1, b2, alpha", MASKED_POINTS)
+def test_radial_integrals_equal_masked_integrands(b1, b2, alpha):
+    # integrating each region's branch on its own panels gives the doubles
+    # of one integrand that sorts every node into its region
+    def masked(rows, q):
+        return integrate_panels(lambda r: rows(r, *uw_coordinate(r, q)), radial_scheme(q)).tolist()
+
+    def moments(r, u, w):
+        r2 = r * r
+        return np.stack([r2 * u * u, r2 * w * w, r2 * u * w])
+
+    p = ModelParams(b1=b1, b2=b2, alpha=alpha, A=0.9, B=1.5)
+    assert list(probabilities_coordinate(p)) == masked(lambda r, u, w: np.square((u, w)), p)
+    # one record, and one block of several, each column its record's integral
+    units = [ModelParams(b1=b1, b2=b2, alpha=alpha * s, A=1.0, B=1.0) for s in (1.0, 1.3, 0.7)]
+    assert _rms_core(units[0]).tolist() == masked(moments, units[0])
+    block = _rms_core(units)
+    assert block.shape == (3, len(units))
+    for i, q in enumerate(units):
+        assert block[:, i].tolist() == masked(moments, q)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.23165, 1.0, 3.0])
 def test_batched_records_equal_one_record_calls(alpha):
     # alpha*b on a log grid, and on both sides of the series cuts of the
-    # closed norms (0.3, 0.45) and of the branch profiles (0.5)
-    s = sorted(np.geomspace(1e-3, 50.0, 17).tolist() + [0.29, 0.31, 0.44, 0.46, 0.49, 0.51])
+    # closed norms (0.3, 1.5) and of the branch profiles (0.5)
+    s = sorted(np.geomspace(1e-3, 50.0, 17).tolist() + [0.29, 0.31, 0.49, 0.51, 1.49, 1.51])
     bs = [x / alpha for x in s]
 
     def fields(m):
@@ -344,8 +381,8 @@ def test_report_frozen_digits(point):
 
 def test_fit_frozen_digits():
     res = fit_parameters(FitTargets(2.08, 0.286), 0.23165)
-    assert (res.iterations, res.converged) == (26, True)
+    assert (res.iterations, res.converged) == (23, True)
     assert (res.b, res.ratio, res.A, res.B) == pytest.approx(
-        (1.4759826567469192, 3.0015438195696094, 0.905105932945504, 1.56809278182435), rel=1e-15, abs=0.0)
+        (1.475982656746916, 3.0015438195697546, 0.9051059329455043, 1.5680927818243886), rel=1e-15, abs=0.0)
     # a residual of O(1) quantities at round-off: absolute, not relative
-    assert res.residual_norm == pytest.approx(2.9953571439611336e-15, rel=0.0, abs=1e-15)
+    assert res.residual_norm == pytest.approx(2.5620531337503612e-15, rel=0.0, abs=1e-15)

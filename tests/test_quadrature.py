@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sepdeut.model import ModelParams
-from sepdeut.observables import solve_normalisation
+from sepdeut.observables import radial_scheme, solve_normalisation
 from sepdeut.quadrature import (
     PANEL_ORDER,
     QuadratureError,
@@ -12,7 +12,6 @@ from sepdeut.quadrature import (
     gauss_legendre_rule,
     integrate_panels,
     momentum_scheme,
-    radial_scheme,
 )
 from sepdeut.wf_coordinate import uw_coordinate
 from sepdeut.wf_momentum import uw_momentum
