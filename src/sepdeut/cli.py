@@ -321,7 +321,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_PARAMS if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # a float overflow or an invalid operation fails the parameters, not the quadrature
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

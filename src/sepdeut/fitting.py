@@ -26,17 +26,22 @@ nodes' ranges, a few records per radial quadrature), and the
 roots of its interpolant are the eigenvalues of the colleague matrix
 (`numpy.polynomial.chebyshev.chebroots`).  Real roots, and near-real
 complex pairs (two roots about to merge where the targets stop being
-feasible), are taken in order of the interpolated num/den and polished by
-secant steps on F, the first from the interpolant's slope.  At each point
-the ratio is t^2, with t the root of the Q quadratic nearer sqrt(num/den):
+feasible), are taken in order of the interpolated num/den.  Each is
+polished by one chord step on F with the interpolant's slope, and the
+better of the two records is kept.  At each point the ratio is t^2, with
+t the root of the Q quadratic nearer sqrt(num/den):
 the small root 2c / (beta + sqrt(disc)) where Q* -> 0 makes num/den
 ill-conditioned, the large root (beta + sqrt(disc)) / (2a) for roots of
 large ratio.  The first polished root whose residual norm is at most
 `TOLERANCE` is returned, so the root returned is the one with the
 smallest ratio.
 
-`iterations` counts moment records, batched or not, at most
-`MAX_EVALUATIONS`; the node count and the tolerance are fixed, like the
+`iterations` counts moment records, batched or not: the `_NODES` node
+records, at most two for each of the interpolant's `_NODES` - 1 roots and
+at most one more, so never more than 3 `_NODES` - 1.  A feasible target
+whose first root meets `TOLERANCE` takes `_NODES` + 2 records (one fewer
+if the chord step leaves the window or does not move), a target with no
+root `_NODES` + 1.  The node count and the tolerance are fixed, like the
 panel order of the moments.  No start is needed: `initial` is accepted
 and ignored, and the CLI has no start flags (`--start-b`,
 `--start-ratio`).  When no polished root meets `TOLERANCE`, one more
@@ -65,8 +70,6 @@ from .observables import _moments, solve_normalisation
 _NODES = 20
 #: residual norm a root must reach
 TOLERANCE = 1e-6
-#: moment records a fit may take: the nodes, then polishing
-MAX_EVALUATIONS = _NODES + 60
 
 
 @dataclass(frozen=True)
@@ -152,24 +155,17 @@ def fit_parameters(targets: FitTargets, alpha: float, initial=(1.2, 2.0)) -> Fit
     lo, hi = b_of(-1.0), b_of(1.0)
     root = None
     for i in np.argsort(rho):
-        if len(records) >= MAX_EVALUATIONS:
-            break
         start = len(records)
         b0 = float(b_of(x[i]))
-        f0 = F_at(b0)
-        b1, step = b0 - f0 / slope[i], math.inf
-        while len(records) < MAX_EVALUATIONS and lo <= b1 <= hi and 0 < abs(b1 - b0) < step:
-            step = abs(b1 - b0)
-            f1 = F_at(b1)
-            if f1 == f0:
-                break
-            b0, f0, b1 = b1, f1, b1 - f1 * (b1 - b0) / (f1 - f0)
+        b1 = b0 - F_at(b0) / slope[i]  # one chord step on the interpolant's slope
+        if lo <= b1 <= hi and b1 != b0:
+            F_at(b1)
         best = min(records[start:])
         if best[0] <= TOLERANCE:
             root = best
             break
 
-    if root is None and len(records) < MAX_EVALUATIONS:
+    if root is None:
         # past a near-tangent edge the two roots leave the real axis: the
         # best point is then where |F| is least, a real root of F' or an
         # end of the window

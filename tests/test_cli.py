@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -261,6 +262,11 @@ def test_oversized_grid_exits_2_and_writes_no_file(argv, tmp_path, capsys):
         (["wavefunctions", "--b1", "1e-300"], "ZeroDivisionError"),
         (["fit", "--alpha", "1e-300"], "ZeroDivisionError"),
         (["observables", "--b1", "1e300"], "OverflowError"),
+        # sinh(alpha r) overflows in numpy: a parameter fault, not a non-finite integrand (exit 3)
+        (["observables", "--alpha", "800"], "FloatingPointError: overflow"),
+        (["wavefunctions", "--alpha", "800"], "FloatingPointError: overflow"),
+        (["fit", "--alpha", "800"], "FloatingPointError: overflow"),
+        (["validate", "--alpha", "800"], "FloatingPointError: overflow"),
     ],
 )
 def test_arithmetic_failure_exits_2_and_writes_no_file(argv, name, tmp_path, capsys):
@@ -272,6 +278,21 @@ def test_arithmetic_failure_exits_2_and_writes_no_file(argv, name, tmp_path, cap
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {name}")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_box_points_raise_no_floating_point_error(tmp_path, capsys):
+    # the CLI raises on numpy overflow, divide and invalid; ordinary points
+    # (b1 in [0.8, 2], alpha in [0.2, 0.5], ratio in [0.5, 6], b2 - b1 in
+    # [0.1, 1] or 0) take none of them
+    rng = random.Random(7)
+    for unequal in (False,) * 4 + (True,) * 4:
+        b1 = rng.uniform(0.8, 2.0)
+        b2 = b1 + rng.uniform(0.1, 1.0) if unequal else b1
+        flags = ["--b1", repr(b1), "--b2", repr(b2), "--alpha", repr(rng.uniform(0.2, 0.5)),
+                 "--ratio", repr(rng.uniform(0.5, 6.0))]
+        for command in ("observables", "wavefunctions", "momentum", "validate"):
+            code, _, err = run([command, *flags, "--output", str(tmp_path / "out")], capsys)
+            assert (code, err) == (0, ""), (command, flags)
 
 
 def test_grid_stops_at_its_end(capsys):
